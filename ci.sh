@@ -27,6 +27,9 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test -q --workspace --offline
 
+echo "==> benchmark package tests (builds perfbench against the workspace crates)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> magnum tests with MAGNUM_THREADS=4 (parallel field engine)"
 MAGNUM_THREADS=4 cargo test -q -p magnum --offline
 

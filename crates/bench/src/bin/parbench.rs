@@ -112,7 +112,6 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::httpc::Client;
 use bench::{write_bench_json, write_report};
 
 use magnum::field::demag::{DemagMethod, NewellDemag, PadPolicy};
@@ -120,8 +119,9 @@ use magnum::field::FieldTerm;
 use magnum::par::WorkerTeam;
 use magnum::prelude::*;
 use magnum::solver::IntegratorKind;
+use swjson::Json;
 use swperf::cmos::CmosNode;
-use swrun::json::Json;
+use swserve::http::{Conn, Response};
 
 /// The pre-optimization Newell demag pipeline, preserved as the benchmark
 /// reference. Every design decision the optimization removed is kept on
@@ -1191,6 +1191,13 @@ fn netlist_main(patterns: usize, out: String) {
     write_report(&out, &report);
 }
 
+/// A keep-alive connection to a server or router, with the loadtest's
+/// generous timeouts.
+fn connect(addr: SocketAddr) -> std::io::Result<Conn> {
+    let patience = std::time::Duration::from_secs(60);
+    Conn::connect(addr, patience, patience)
+}
+
 /// Resolves `HOST:PORT` to a socket address or dies with a usage error.
 fn resolve(addr: &str) -> SocketAddr {
     addr.to_socket_addrs()
@@ -1350,9 +1357,9 @@ fn loadtest(
             let pool = Arc::clone(&pool);
             let progress = Arc::clone(&progress);
             std::thread::spawn(move || {
-                let mut clients: Vec<(usize, Client)> = (w..connections)
+                let mut clients: Vec<(usize, Conn)> = (w..connections)
                     .step_by(workers)
-                    .map(|c| (c, Client::connect(addr).expect("loadtest connect")))
+                    .map(|c| (c, connect(addr).expect("loadtest connect")))
                     .collect();
                 let mut outcome = LoadOutcome {
                     elapsed_s: 0.0,
@@ -1368,7 +1375,7 @@ fn loadtest(
                     for (c, client) in &mut clients {
                         let body = &pool[(*c + r) % pool.len()];
                         let sent = Instant::now();
-                        let response = client.request("POST", "/v1/gate/eval", body);
+                        let response = client.request("POST", "/v1/gate/eval", body.as_bytes());
                         outcome
                             .latencies_us
                             .push(sent.elapsed().as_secs_f64() * 1e6);
@@ -1389,7 +1396,7 @@ fn loadtest(
                                 // reconnect so the rest of this
                                 // connection's budget still runs.
                                 outcome.failures += 1;
-                                if let Ok(fresh) = Client::connect(addr) {
+                                if let Ok(fresh) = connect(addr) {
                                     *client = fresh;
                                 }
                             }
@@ -1442,9 +1449,9 @@ fn boot_inprocess(
 
 /// Gracefully drains an in-process server over its socket.
 fn drain_inprocess(addr: SocketAddr, runner: std::thread::JoinHandle<()>) {
-    let mut control = Client::connect(addr).expect("drain connect");
+    let mut control = connect(addr).expect("drain connect");
     control
-        .request("POST", "/v1/admin/shutdown", "")
+        .request("POST", "/v1/admin/shutdown", b"")
         .expect("graceful shutdown");
     drop(control);
     runner.join().expect("server thread");
@@ -1503,8 +1510,8 @@ fn spawn_service(
 
 /// Drains a spawned service via its admin endpoint and reaps it.
 fn drain_service(addr: SocketAddr, mut child: std::process::Child) {
-    if let Ok(mut control) = Client::connect(addr) {
-        control.request("POST", "/v1/admin/shutdown", "").ok();
+    if let Ok(mut control) = connect(addr) {
+        control.request("POST", "/v1/admin/shutdown", b"").ok();
     }
     child.wait().expect("service child reaped");
 }
@@ -1686,10 +1693,10 @@ fn scenario_restart(scratch: &std::path::Path, connections: usize, requests: usi
 
     // Seeding pass: one client walks the whole request pool once.
     let (handle, runner) = boot_inprocess(&config);
-    let mut seeder = Client::connect(handle.addr()).expect("seed connect");
+    let mut seeder = connect(handle.addr()).expect("seed connect");
     for body in request_pool() {
         let response = seeder
-            .request("POST", "/v1/gate/eval", &body)
+            .request("POST", "/v1/gate/eval", body.as_bytes())
             .expect("seed request");
         assert_eq!(response.status, 200, "seeding must succeed");
     }
@@ -1782,11 +1789,11 @@ fn scenario_router(
     let outcome = loadtest(router_addr, connections, requests, trigger);
 
     // Router-side counters before teardown.
-    let mut control = Client::connect(router_addr).expect("router metrics connect");
+    let mut control = connect(router_addr).expect("router metrics connect");
     let metrics = control
-        .request("GET", "/metrics", "")
+        .request("GET", "/metrics", b"")
         .ok()
-        .and_then(|r| Json::parse(&r.body).ok())
+        .and_then(|r| Json::parse(r.text()).ok())
         .unwrap_or(Json::Null);
     drop(control);
 
@@ -1838,17 +1845,18 @@ fn scenario_router(
 /// `--probe`: smoke-test a running server; exits non-zero on failure.
 fn probe_main(addr: &str, expect_cached: bool, shutdown: bool) {
     let addr = resolve(addr);
-    let mut client = Client::connect(addr).unwrap_or_else(|e| {
+    let mut client = connect(addr).unwrap_or_else(|e| {
         eprintln!("probe: cannot connect to {addr}: {e}");
         std::process::exit(1);
     });
-    let mut step = |what: &str, method: &str, path: &str, body: &str| -> bench::httpc::Response {
-        match client.request(method, path, body) {
+    let mut step = |what: &str, method: &str, path: &str, body: &str| -> Response {
+        match client.request(method, path, body.as_bytes()) {
             Ok(response) if response.status == 200 => response,
             Ok(response) => {
                 eprintln!(
                     "probe: {what} answered {}: {}",
-                    response.status, response.body
+                    response.status,
+                    response.text()
                 );
                 std::process::exit(1);
             }
@@ -1860,8 +1868,8 @@ fn probe_main(addr: &str, expect_cached: bool, shutdown: bool) {
     };
 
     let health = step("GET /healthz", "GET", "/healthz", "");
-    if !health.body.contains(r#""status":"ok""#) {
-        eprintln!("probe: unexpected health body: {}", health.body);
+    if !health.text().contains(r#""status":"ok""#) {
+        eprintln!("probe: unexpected health body: {}", health.text());
         std::process::exit(1);
     }
 
@@ -1874,10 +1882,10 @@ fn probe_main(addr: &str, expect_cached: bool, shutdown: bool) {
     }
     let local =
         swserve::respond(&Json::parse(raw).expect("probe request")).expect("local evaluation");
-    if eval.body != local {
+    if eval.text() != local {
         eprintln!(
             "probe: HTTP response differs from the local evaluator\n  http:  {}\n  local: {local}",
-            eval.body
+            eval.text()
         );
         std::process::exit(1);
     }
@@ -1899,14 +1907,15 @@ fn probe_main(addr: &str, expect_cached: bool, shutdown: bool) {
         if again.body != eval.body {
             eprintln!(
                 "probe: cached response differs from the first\n  first:  {}\n  cached: {}",
-                eval.body, again.body
+                eval.text(),
+                again.text()
             );
             std::process::exit(1);
         }
     }
 
     let metrics = step("GET /metrics", "GET", "/metrics", "");
-    if Json::parse(&metrics.body).is_err() {
+    if Json::parse(metrics.text()).is_err() {
         eprintln!("probe: /metrics is not valid JSON");
         std::process::exit(1);
     }

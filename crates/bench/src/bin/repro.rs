@@ -136,12 +136,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
     let mumag = args.iter().any(|a| a == "--mumag");
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let value_of = |flag: &str| flag_value(&args, flag);
     let jobs = match value_of("--jobs").map(|v| v.parse::<usize>()) {
         None if !args.iter().any(|a| a == "--jobs") => 1,
         Some(Ok(n)) if n >= 1 => n,
@@ -170,34 +165,8 @@ fn main() {
         fresh: args.iter().any(|a| a == "--fresh"),
         quiet: args.iter().any(|a| a == "--quiet"),
     };
-    // Skip flag values ("--jobs 4") when looking for the command word.
-    let command = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0
-                    || !matches!(
-                        args[i - 1].as_str(),
-                        "--jobs"
-                            | "--threads"
-                            | "--manifest"
-                            | "--addr"
-                            | "--workers"
-                            | "--queue-depth"
-                            | "--cache-capacity"
-                            | "--addr-file"
-                            | "--demo"
-                            | "--backend"
-                            | "--vnodes"
-                            | "--pool"
-                            | "--store"
-                            | "--store-capacity-mb"
-                            | "--prewarm"
-                    ))
-        })
-        .map(|(_, a)| a.as_str())
-        .unwrap_or("all");
+    // The first positional, skipping flag values ("--jobs 4").
+    let command = positionals(&args).first().copied().unwrap_or("all");
 
     let result = match command {
         "table1" => table1(fast, mumag, &batch),
@@ -755,30 +724,48 @@ fn compile_command(args: &[String]) -> Result<(), SwGateError> {
     Ok(())
 }
 
+/// The value after `flag`, if present.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// A non-negative count flag, `default` when absent; exits 2 on garbage.
+fn count_flag(args: &[String], flag: &str, default: usize) -> usize {
+    match flag_value(args, flag).map(|v| v.parse::<usize>()) {
+        None => default,
+        Some(Ok(n)) => n,
+        Some(Err(_)) => {
+            eprintln!("{flag} needs a non-negative integer");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Maps an I/O failure to a CLI error naming what was being done.
+fn io_err(context: &'static str) -> impl Fn(std::io::Error) -> SwGateError {
+    move |e| SwGateError::Simulation {
+        reason: format!("{context}: {e}"),
+    }
+}
+
+/// Writes the bound address to `--addr-file`, when given, so scripts
+/// can find an ephemeral port.
+fn write_addr_file(args: &[String], addr: std::net::SocketAddr) -> Result<(), SwGateError> {
+    match flag_value(args, "--addr-file") {
+        Some(path) => {
+            std::fs::write(path, addr.to_string()).map_err(io_err("writing the address file"))
+        }
+        None => Ok(()),
+    }
+}
+
 /// `repro serve` — the HTTP gate-evaluation service (see `swserve`).
 fn serve(args: &[String]) -> Result<(), SwGateError> {
-    let io_err = |context: &str| {
-        let context = context.to_string();
-        move |e: std::io::Error| SwGateError::Simulation {
-            reason: format!("{context}: {e}"),
-        }
-    };
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let parse_count = |flag: &str, default: usize| -> usize {
-        match value_of(flag).map(|v| v.parse::<usize>()) {
-            None => default,
-            Some(Ok(n)) => n,
-            Some(Err(_)) => {
-                eprintln!("{flag} needs a non-negative integer");
-                std::process::exit(2);
-            }
-        }
-    };
+    let value_of = |flag: &str| flag_value(args, flag);
+    let parse_count = |flag: &str, default: usize| count_flag(args, flag, default);
     let manifest = value_of("--manifest")
         .map(std::path::PathBuf::from)
         .or_else(|| {
@@ -813,9 +800,7 @@ fn serve(args: &[String]) -> Result<(), SwGateError> {
     };
     let server = swserve::Server::bind(&config).map_err(io_err("binding the server"))?;
     let addr = server.local_addr();
-    if let Some(path) = value_of("--addr-file") {
-        std::fs::write(&path, addr.to_string()).map_err(io_err("writing the address file"))?;
-    }
+    write_addr_file(args, addr)?;
     eprintln!(
         "swserve listening on http://{addr} ({} job workers, queue depth {}{}); \
          POST /v1/admin/shutdown to drain",
@@ -831,28 +816,8 @@ fn serve(args: &[String]) -> Result<(), SwGateError> {
 
 /// `repro route` — the consistent-hash shard router (see `swrouter`).
 fn route(args: &[String]) -> Result<(), SwGateError> {
-    let io_err = |context: &str| {
-        let context = context.to_string();
-        move |e: std::io::Error| SwGateError::Simulation {
-            reason: format!("{context}: {e}"),
-        }
-    };
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let parse_count = |flag: &str, default: usize| -> usize {
-        match value_of(flag).map(|v| v.parse::<usize>()) {
-            None => default,
-            Some(Ok(n)) => n,
-            Some(Err(_)) => {
-                eprintln!("{flag} needs a non-negative integer");
-                std::process::exit(2);
-            }
-        }
-    };
+    let value_of = |flag: &str| flag_value(args, flag);
+    let parse_count = |flag: &str, default: usize| count_flag(args, flag, default);
     // `--backend HOST:PORT`, repeated once per shard.
     let backends: Vec<String> = args
         .iter()
@@ -869,9 +834,7 @@ fn route(args: &[String]) -> Result<(), SwGateError> {
     };
     let router = swrouter::Router::bind(&config).map_err(io_err("binding the router"))?;
     let addr = router.local_addr();
-    if let Some(path) = value_of("--addr-file") {
-        std::fs::write(&path, addr.to_string()).map_err(io_err("writing the address file"))?;
-    }
+    write_addr_file(args, addr)?;
     eprintln!(
         "swrouter listening on http://{addr} ({} shard(s), {} vnodes); \
          POST /v1/admin/shutdown to drain",

@@ -24,17 +24,17 @@
 pub mod proxy;
 pub mod ring;
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use swjson::Json;
-use swserve::http::{error_body, read_request, write_json, ReadError, Request};
+use swserve::http::{self, Handler, Request, Response};
 use swserve::{content_key, eval, jobs, netlist};
 
-use proxy::{serialize_request, Backend, BackendResponse};
+use proxy::Backend;
 use ring::Ring;
 
 /// How a [`Router`] is configured; see `repro route --help` for the
@@ -275,45 +275,22 @@ impl Router {
     }
 
     /// Serves until a drain is triggered, then lets open connections
-    /// finish. Mirrors [`swserve::Server::run`]'s accept loop, plus a
-    /// health thread that re-admits ejected shards.
+    /// finish: the shared [`http::serve`] loop, plus a health thread
+    /// that re-admits ejected shards.
     ///
     /// # Errors
     ///
     /// Listener-level failures only; per-connection and per-shard
     /// errors are contained (that is the router's whole job).
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let health = {
             let shared = Arc::clone(&self.shared);
             let interval = self.health_interval;
             thread::spawn(move || health_loop(&shared, interval))
         };
-        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-        const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(100);
-        const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(5);
-        let mut backoff = ACCEPT_BACKOFF_MIN;
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    connections.push(thread::spawn(move || handle_connection(stream, &shared)));
-                    backoff = ACCEPT_BACKOFF_MIN;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            connections.retain(|c| !c.is_finished());
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
+        let served = http::serve(&self.listener, &self.shared.shutdown, &*self.shared);
         let _ = health.join();
-        Ok(())
+        served
     }
 }
 
@@ -344,71 +321,24 @@ fn health_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    loop {
-        let request = match read_request(&stream) {
-            Ok(request) => request,
-            Err(ReadError::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(ReadError::Closed) => return,
-            Err(ReadError::Malformed(message)) => {
-                let _ = write_json(&mut stream, 400, &[], &error_body(&message), false);
-                return;
-            }
-            Err(ReadError::BodyTooLarge) => {
-                let _ = write_json(&mut stream, 413, &[], &error_body("body too large"), false);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
+impl Handler for Shared {
+    fn handle(&self, request: &Request) -> Response {
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        let response = dispatch(request, self);
+        // Only shard answers carry `x-shard`.
+        let counter = if response.header("x-shard").is_some() {
+            &self.metrics.relayed
+        } else {
+            &self.metrics.local
         };
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let close = request.wants_close() || shared.shutdown.load(Ordering::SeqCst);
-        let ok = match dispatch(&request, shared) {
-            Dispatched::Local { status, body } => {
-                shared.metrics.local.fetch_add(1, Ordering::Relaxed);
-                write_json(&mut stream, status, &[], &body, !close).is_ok()
-            }
-            Dispatched::Relayed { shard, response } => {
-                shared.metrics.relayed.fetch_add(1, Ordering::Relaxed);
-                relay(&mut stream, shard, &response, !close).is_ok()
-            }
-        };
-        if !ok || close {
-            return;
-        }
-    }
-}
-
-/// What became of one request.
-enum Dispatched {
-    /// The router answered it directly.
-    Local { status: u16, body: String },
-    /// Shard `shard` answered; relay its bytes.
-    Relayed {
-        shard: usize,
-        response: BackendResponse,
-    },
-}
-
-impl Dispatched {
-    fn error(status: u16, message: &str) -> Dispatched {
-        Dispatched::Local {
-            status,
-            body: error_body(message),
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        response
     }
 }
 
 /// Routes one request: answer locally (router endpoints, canonicalize
 /// errors) or derive the content key and relay to its shard.
-fn dispatch(request: &Request, shared: &Shared) -> Dispatched {
+fn dispatch(request: &Request, shared: &Shared) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let healthy = shared
@@ -416,31 +346,22 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatched {
                 .iter()
                 .filter(|backend| backend.is_healthy())
                 .count();
-            Dispatched::Local {
-                status: 200,
-                body: Json::obj([
-                    ("status", Json::str("ok")),
-                    ("role", Json::str("router")),
-                    (
-                        "draining",
-                        Json::Bool(shared.shutdown.load(Ordering::SeqCst)),
-                    ),
-                    ("backends", Json::Num(shared.backends.len() as f64)),
-                    ("healthy", Json::Num(healthy as f64)),
-                ])
-                .render(),
-            }
+            let body = Json::obj([
+                ("status", Json::str("ok")),
+                ("role", Json::str("router")),
+                (
+                    "draining",
+                    Json::Bool(shared.shutdown.load(Ordering::SeqCst)),
+                ),
+                ("backends", Json::Num(shared.backends.len() as f64)),
+                ("healthy", Json::Num(healthy as f64)),
+            ]);
+            Response::json(200, &body.render())
         }
-        ("GET", "/metrics") => Dispatched::Local {
-            status: 200,
-            body: shared.render_metrics().render(),
-        },
+        ("GET", "/metrics") => Response::json(200, &shared.render_metrics().render()),
         ("POST", "/v1/admin/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            Dispatched::Local {
-                status: 200,
-                body: r#"{"draining":true}"#.to_string(),
-            }
+            Response::json(200, r#"{"draining":true}"#)
         }
         ("POST", "/v1/gate/eval") => keyed_relay(request, shared, eval::normalize),
         ("POST", "/v1/netlist/eval") => keyed_relay(request, shared, netlist::normalize),
@@ -453,8 +374,8 @@ fn dispatch(request: &Request, shared: &Shared) -> Dispatched {
             _,
             "/healthz" | "/metrics" | "/v1/gate/eval" | "/v1/netlist/eval" | "/v1/jobs"
             | "/v1/admin/shutdown",
-        ) => Dispatched::error(405, "method not allowed"),
-        _ => Dispatched::error(404, "no such endpoint"),
+        ) => Response::error(405, "method not allowed"),
+        _ => Response::error(404, "no such endpoint"),
     }
 }
 
@@ -466,14 +387,14 @@ fn keyed_relay(
     request: &Request,
     shared: &Shared,
     normalize: fn(&Json) -> Result<Json, eval::EvalError>,
-) -> Dispatched {
+) -> Response {
     let parsed = match Json::parse_bytes(&request.body) {
         Ok(parsed) => parsed,
-        Err(e) => return Dispatched::error(400, &format!("bad JSON: {e}")),
+        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
     let normalized = match normalize(&parsed) {
         Ok(normalized) => normalized,
-        Err(e) => return Dispatched::error(400, &e.message),
+        Err(e) => return Response::error(400, &e.message),
     };
     forward(request, shared, content_key(&normalized.render()))
 }
@@ -496,8 +417,7 @@ fn job_key(id: &str) -> u64 {
 /// unhealthy ones are last-resort candidates — if a probe hasn't
 /// re-admitted a shard yet but it is actually back, a request can still
 /// land there rather than 503.
-fn forward(request: &Request, shared: &Shared, key: u64) -> Dispatched {
-    let raw = serialize_request(&request.method, &request.path, &request.body);
+fn forward(request: &Request, shared: &Shared, key: u64) -> Response {
     let candidates = shared.ring.candidates(key);
     let ordered = candidates
         .iter()
@@ -510,12 +430,24 @@ fn forward(request: &Request, shared: &Shared, key: u64) -> Dispatched {
         .copied()
         .collect::<Vec<_>>();
     for (attempt, shard) in ordered.iter().copied().enumerate() {
-        match shared.backends[shard].request(&raw) {
+        match shared.backends[shard].request(&request.method, &request.path, &request.body) {
             Ok(response) => {
                 if attempt > 0 {
                     shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
                 }
-                return Dispatched::Relayed { shard, response };
+                // Body bytes untouched (callers rely on byte-identity
+                // with direct shard responses). The shard's cache and
+                // retry headers are preserved; `x-shard` says who
+                // answered.
+                let mut headers = vec![("x-shard".to_string(), shard.to_string())];
+                headers.extend(["x-cache", "retry-after"].into_iter().filter_map(|name| {
+                    Some((name.to_string(), response.header(name)?.to_string()))
+                }));
+                return Response {
+                    status: response.status,
+                    headers,
+                    body: response.body,
+                };
             }
             Err(_) => {
                 // A fresh dial failed too: the shard is down. Eject it;
@@ -527,46 +459,7 @@ fn forward(request: &Request, shared: &Shared, key: u64) -> Dispatched {
         }
     }
     shared.metrics.no_backend.fetch_add(1, Ordering::Relaxed);
-    Dispatched::error(503, "no healthy backend")
-}
-
-/// Writes a shard's response onward, body bytes untouched (callers rely
-/// on byte-identity with direct shard responses). The shard's cache and
-/// retry headers are preserved; `x-shard` says who answered.
-fn relay(
-    stream: &mut TcpStream,
-    shard: usize,
-    response: &BackendResponse,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nx-shard: {shard}\r\n",
-        response.status,
-        match response.status {
-            200 => "OK",
-            202 => "Accepted",
-            400 => "Bad Request",
-            404 => "Not Found",
-            429 => "Too Many Requests",
-            503 => "Service Unavailable",
-            _ => "Response",
-        },
-        response.body.len(),
-    );
-    for name in ["x-cache", "retry-after"] {
-        if let Some(value) = response.header(name) {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-    }
-    head.push_str(if keep_alive {
-        "connection: keep-alive\r\n\r\n"
-    } else {
-        "connection: close\r\n\r\n"
-    });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
+    Response::error(503, "no healthy backend")
 }
 
 #[cfg(test)]
@@ -602,11 +495,13 @@ mod tests {
             headers: Vec::new(),
             body: br#"{"gate":"warp"}"#.to_vec(),
         };
-        let Dispatched::Local { status, body } = dispatch(&request, &shared) else {
-            panic!("invalid gate must be answered locally");
-        };
-        assert_eq!(status, 400);
-        let parsed = Json::parse(&body).unwrap();
+        let response = dispatch(&request, &shared);
+        assert!(
+            response.header("x-shard").is_none(),
+            "invalid gate must be answered locally"
+        );
+        assert_eq!(response.status, 400);
+        let parsed = Json::parse(response.text()).unwrap();
         let message = parsed.get("error").and_then(Json::as_str).unwrap();
         let direct = eval::normalize(&Json::parse(r#"{"gate":"warp"}"#).unwrap()).unwrap_err();
         assert_eq!(message, direct.message);

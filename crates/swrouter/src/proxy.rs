@@ -1,9 +1,9 @@
-//! The backend side of the router: bounded keep-alive connection pools
-//! and a minimal HTTP/1.1 client just big enough to relay swserve's
-//! JSON responses byte for byte.
+//! The backend side of the router: bounded pools of keep-alive
+//! [`Conn`]s, the shared HTTP/1.1 client connection, whose response
+//! parser carries the same line, header and body bounds as the server's.
 //!
-//! Each backend gets one [`Pool`]: a small stack of idle `TcpStream`s
-//! that previous requests left open. A forward checks out an idle
+//! Each backend gets one pool: a small queue of idle connections that
+//! previous requests left open. A forward checks out an idle
 //! connection when one exists (the common case under keep-alive load),
 //! otherwise dials fresh; connections whose response said
 //! `connection: keep-alive` go back into the pool, up to the bound —
@@ -13,37 +13,15 @@
 //! down (see [`Backend::request`]).
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Largest relayed response body (matches swserve's request bound with
-/// headroom for large netlist responses).
-const MAX_RESPONSE_BODY: usize = 8 << 20;
+use swserve::http::{Conn, ReadError, Response};
 
-/// A response read back from a shard, body bytes untouched.
-#[derive(Debug)]
-pub struct BackendResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Header name/value pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// The exact body bytes (including swserve's trailing newline).
-    pub body: Vec<u8>,
-    keep_alive: bool,
-}
-
-impl BackendResponse {
-    /// First header with this (lowercase) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
+/// How long a dial to a shard may take before the shard counts as down.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Why a backend request failed (all of them are retryable on another
 /// shard; none leave a half-written client response).
@@ -51,8 +29,21 @@ impl BackendResponse {
 pub enum ProxyError {
     /// Dial, write, or read failure.
     Io(std::io::Error),
-    /// The shard answered bytes that do not parse as HTTP/1.1.
+    /// The shard answered bytes that do not parse as bounded HTTP/1.1.
     BadResponse(String),
+}
+
+impl From<ReadError> for ProxyError {
+    fn from(error: ReadError) -> ProxyError {
+        match error {
+            ReadError::Io(e) => ProxyError::Io(e),
+            ReadError::Malformed(message) => ProxyError::BadResponse(message),
+            ReadError::BodyTooLarge => {
+                ProxyError::BadResponse("response body exceeds the relay bound".into())
+            }
+            other => ProxyError::Io(std::io::Error::other(other.to_string())),
+        }
+    }
 }
 
 impl std::fmt::Display for ProxyError {
@@ -66,17 +57,15 @@ impl std::fmt::Display for ProxyError {
 
 /// One shard as the router sees it: address, health flag, connection
 /// pool, and per-backend counters.
-#[derive(Debug)]
 pub struct Backend {
     addr: SocketAddr,
     healthy: AtomicBool,
-    idle: Mutex<VecDeque<TcpStream>>,
+    idle: Mutex<VecDeque<Conn>>,
     pool_cap: usize,
     /// Requests this shard answered.
     pub forwarded: AtomicU64,
     /// Pooled connections that died and were replaced by a fresh dial.
     pub stale_retries: AtomicU64,
-    connect_timeout: Duration,
     io_timeout: Duration,
 }
 
@@ -90,7 +79,6 @@ impl Backend {
             pool_cap: pool_cap.max(1),
             forwarded: AtomicU64::new(0),
             stale_retries: AtomicU64::new(0),
-            connect_timeout: Duration::from_millis(500),
             io_timeout,
         }
     }
@@ -111,14 +99,14 @@ impl Backend {
         self.healthy.swap(healthy, Ordering::SeqCst)
     }
 
-    fn checkout(&self) -> Option<TcpStream> {
+    fn checkout(&self) -> Option<Conn> {
         self.idle.lock().expect("pool poisoned").pop_front()
     }
 
-    fn checkin(&self, stream: TcpStream) {
+    fn checkin(&self, conn: Conn) {
         let mut idle = self.idle.lock().expect("pool poisoned");
         if idle.len() < self.pool_cap {
-            idle.push_back(stream);
+            idle.push_back(conn);
         } // else: drop — the bound is the point.
     }
 
@@ -127,26 +115,22 @@ impl Backend {
         self.idle.lock().expect("pool poisoned").len()
     }
 
-    fn dial(&self) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        Ok(stream)
+    fn dial(&self) -> Result<Conn, ProxyError> {
+        Conn::connect(self.addr, CONNECT_TIMEOUT, self.io_timeout).map_err(ProxyError::Io)
     }
 
-    /// Sends `raw` (a fully serialized request) and reads one response.
-    /// Tries a pooled keep-alive connection first; if that fails — a
-    /// stale keep-alive is expected after idle periods — retries once on
-    /// a fresh dial. Only a fresh-dial failure is evidence the shard is
-    /// actually down, and that verdict is the caller's to act on.
+    /// Sends one request and reads its response. Tries a pooled
+    /// keep-alive connection first; if that fails — a stale keep-alive
+    /// is expected after idle periods — retries once on a fresh dial.
+    /// Only a fresh-dial failure is evidence the shard is actually
+    /// down, and that verdict is the caller's to act on.
     ///
     /// # Errors
     ///
     /// [`ProxyError`] once both the pooled and fresh attempts failed.
-    pub fn request(&self, raw: &[u8]) -> Result<BackendResponse, ProxyError> {
-        if let Some(stream) = self.checkout() {
-            match round_trip(stream, raw, self) {
+    pub fn request(&self, method: &str, path: &str, body: &[u8]) -> Result<Response, ProxyError> {
+        if let Some(conn) = self.checkout() {
+            match self.round_trip(conn, method, path, body) {
                 Ok(response) => return Ok(response),
                 Err(_) => {
                     // Stale pooled connection; fall through to a fresh dial.
@@ -154,121 +138,38 @@ impl Backend {
                 }
             }
         }
-        let stream = self.dial().map_err(ProxyError::Io)?;
-        round_trip(stream, raw, self)
+        self.round_trip(self.dial()?, method, path, body)
     }
 
     /// A quick liveness probe: `GET /healthz` answering 200.
     pub fn probe(&self) -> bool {
-        let raw = b"GET /healthz HTTP/1.1\r\nhost: router\r\nconnection: keep-alive\r\n\r\n";
-        match self.dial() {
-            Ok(stream) => matches!(round_trip(stream, raw, self), Ok(r) if r.status == 200),
-            Err(_) => false,
-        }
+        self.dial()
+            .and_then(|conn| self.round_trip(conn, "GET", "/healthz", b""))
+            .is_ok_and(|response| response.status == 200)
     }
-}
 
-/// One request/response exchange on `stream`; on a keep-alive response
-/// the stream goes back into the backend's pool.
-fn round_trip(
-    mut stream: TcpStream,
-    raw: &[u8],
-    backend: &Backend,
-) -> Result<BackendResponse, ProxyError> {
-    stream.write_all(raw).map_err(ProxyError::Io)?;
-    stream.flush().map_err(ProxyError::Io)?;
-    let response = read_response(&stream)?;
-    backend.forwarded.fetch_add(1, Ordering::Relaxed);
-    if response.keep_alive {
-        backend.checkin(stream);
-    }
-    Ok(response)
-}
-
-fn read_response(stream: &TcpStream) -> Result<BackendResponse, ProxyError> {
-    let mut reader = BufReader::new(stream);
-    let status_line = read_line(&mut reader)?;
-    let mut parts = status_line.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
-            .parse::<u16>()
-            .map_err(|_| ProxyError::BadResponse(format!("bad status in `{status_line}`")))?,
-        _ => {
-            return Err(ProxyError::BadResponse(format!(
-                "bad status line `{status_line}`"
-            )))
+    /// One request/response exchange on `conn`; on a keep-alive
+    /// response the connection goes back into the pool.
+    fn round_trip(
+        &self,
+        mut conn: Conn,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> Result<Response, ProxyError> {
+        let response = conn.request(method, path, body)?;
+        self.forwarded.fetch_add(1, Ordering::Relaxed);
+        if response.keep_alive() {
+            self.checkin(conn);
         }
-    };
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(&mut reader)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ProxyError::BadResponse(format!("bad header `{line}`")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        Ok(response)
     }
-    let content_length = headers
-        .iter()
-        .find(|(name, _)| name == "content-length")
-        .map(|(_, value)| value.parse::<usize>())
-        .transpose()
-        .map_err(|_| ProxyError::BadResponse("bad content-length".into()))?
-        .unwrap_or(0);
-    if content_length > MAX_RESPONSE_BODY {
-        return Err(ProxyError::BadResponse(format!(
-            "response body of {content_length} bytes exceeds relay bound"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(ProxyError::Io)?;
-    let keep_alive = headers
-        .iter()
-        .find(|(name, _)| name == "connection")
-        .is_some_and(|(_, value)| value.eq_ignore_ascii_case("keep-alive"));
-    Ok(BackendResponse {
-        status,
-        headers,
-        body,
-        keep_alive,
-    })
-}
-
-fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, ProxyError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => Err(ProxyError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "shard closed mid-response",
-        ))),
-        Ok(_) => {
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            Ok(line)
-        }
-        Err(e) => Err(ProxyError::Io(e)),
-    }
-}
-
-/// Serializes a request for relaying: same method/path/body, explicit
-/// content-length, keep-alive.
-pub fn serialize_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: shard\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-        body.len()
-    );
-    let mut raw = Vec::with_capacity(head.len() + body.len());
-    raw.extend_from_slice(head.as_bytes());
-    raw.extend_from_slice(body);
-    raw
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::thread;
 
@@ -301,13 +202,12 @@ mod tests {
         let body = "{\"ok\":true}\n";
         let addr = fake_shard(vec![response(200, body, true), response(200, body, true)]);
         let backend = Backend::new(addr, 4, Duration::from_secs(2));
-        let raw = serialize_request("POST", "/v1/gate/eval", b"{}");
-        let first = backend.request(&raw).unwrap();
+        let first = backend.request("POST", "/v1/gate/eval", b"{}").unwrap();
         assert_eq!(first.status, 200);
         assert_eq!(first.body, body.as_bytes());
         assert_eq!(first.header("x-cache"), Some("ram"));
         assert_eq!(backend.pooled(), 1, "keep-alive connection pooled");
-        backend.request(&raw).unwrap();
+        backend.request("POST", "/v1/gate/eval", b"{}").unwrap();
         assert_eq!(
             backend.forwarded.load(Ordering::Relaxed),
             2,
@@ -319,9 +219,7 @@ mod tests {
     fn close_responses_do_not_pool() {
         let addr = fake_shard(vec![response(200, "{}\n", false)]);
         let backend = Backend::new(addr, 4, Duration::from_secs(2));
-        backend
-            .request(&serialize_request("GET", "/healthz", b""))
-            .unwrap();
+        backend.request("GET", "/healthz", b"").unwrap();
         assert_eq!(backend.pooled(), 0);
     }
 
@@ -351,10 +249,9 @@ mod tests {
                 .unwrap();
         });
         let backend = Backend::new(addr, 4, Duration::from_secs(2));
-        let raw = serialize_request("POST", "/v1/gate/eval", b"{}");
-        backend.request(&raw).unwrap();
+        backend.request("POST", "/v1/gate/eval", b"{}").unwrap();
         assert_eq!(backend.pooled(), 1);
-        let second = backend.request(&raw).unwrap();
+        let second = backend.request("POST", "/v1/gate/eval", b"{}").unwrap();
         assert_eq!(second.body, b"{\"retried\":true}\n");
         assert_eq!(backend.stale_retries.load(Ordering::Relaxed), 1);
     }
@@ -367,7 +264,7 @@ mod tests {
             listener.local_addr().unwrap()
         };
         let backend = Backend::new(addr, 2, Duration::from_millis(300));
-        let result = backend.request(&serialize_request("GET", "/healthz", b""));
+        let result = backend.request("GET", "/healthz", b"");
         assert!(result.is_err());
         assert!(!backend.probe());
     }
@@ -376,7 +273,7 @@ mod tests {
     fn garbage_response_is_bad_response() {
         let addr = fake_shard(vec!["TOTALLY NOT HTTP\r\n\r\n".to_string()]);
         let backend = Backend::new(addr, 2, Duration::from_secs(2));
-        let result = backend.request(&serialize_request("GET", "/healthz", b""));
+        let result = backend.request("GET", "/healthz", b"");
         assert!(
             matches!(result, Err(ProxyError::BadResponse(_))),
             "{result:?}"

@@ -11,7 +11,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use crate::json::Json;
+use swjson::Json;
+
 use crate::manifest::{Manifest, ManifestWriter};
 use crate::metrics::{BatchMetrics, Progress};
 use crate::pool::JobPool;

@@ -18,9 +18,9 @@ use swgates::gates::GateBackend;
 use swgates::layout::{TriangleMaj3Layout, TriangleXorLayout};
 use swgates::mumag::{GateRun, MumagBackend};
 use swgates::SwGateError;
+use swjson::Json;
 
 use crate::batch::{Batch, JobSpec, Outcome, RunOptions};
-use crate::json::Json;
 use crate::metrics::BatchMetrics;
 use crate::RunError;
 

@@ -7,8 +7,8 @@
 //!
 //! * [`pool`] — a `std::thread`-based job pool (`--jobs N`) with per-job
 //!   panic isolation and wall-time measurement.
-//! * [`json`] — a hand-rolled minimal JSON value/writer/parser (the
-//!   workspace is dependency-free by policy; see README).
+//! * JSON comes from the workspace's [`swjson`] crate (the workspace is
+//!   dependency-free by policy; see README).
 //! * [`manifest`] — JSON-lines run manifests: one flushed line per
 //!   completed job, giving crash-safe checkpoint/resume.
 //! * [`metrics`] — live `[k/n]` progress and aggregate batch metrics
@@ -43,7 +43,6 @@
 
 pub mod batch;
 pub mod gates;
-pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod pool;
@@ -53,7 +52,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub use batch::{Batch, BatchReport, JobSpec, Outcome, RunOptions};
-pub use json::Json;
 pub use manifest::{Manifest, ManifestWriter};
 pub use metrics::{BatchMetrics, Progress};
 pub use pool::{JobFailure, JobOutcome, JobPool};

@@ -22,7 +22,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::json::Json;
+use swjson::Json;
+
 use crate::RunError;
 
 /// Appends manifest records; safe to share across worker threads.

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use crate::json::Json;
+use swjson::Json;
 
 /// Thread-safe live progress printer.
 #[derive(Debug)]

@@ -17,7 +17,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use swjson::Json;
+
 use crate::pool::panic_message;
 
 type Job = Box<dyn FnOnce() -> Result<Json, String> + Send + 'static>;

@@ -20,7 +20,10 @@
 //! * [`jobs`] — micromagnetic evaluations dispatched async onto an
 //!   [`swrun::ResidentPool`], with content-addressed job ids and
 //!   manifest-backed results.
-//! * [`http`] — a bounded HTTP/1.1 request/response layer.
+//! * [`http`] — the workspace's one bounded HTTP/1.1 layer: head
+//!   parser, request and response writers, the keep-alive client
+//!   connection, and the [`http::serve`] loop the server and the
+//!   `swrouter` router both run.
 //! * [`metrics`] — lock-free counters and log2 latency histograms
 //!   behind `GET /metrics`.
 //! * [`server`] — routing, admission control (shed with `429` +

@@ -1,5 +1,5 @@
-//! The HTTP server: accept loop, routing, and the serving policies that
-//! tie the crate together.
+//! The HTTP server: routing, and the serving policies that tie the crate
+//! together, run on the shared [`crate::http::serve`] loop.
 //!
 //! * `POST /v1/gate/eval` — behavioral gate/circuit evaluation, answered
 //!   inline through the single-flight [`ResultCache`]: concurrent
@@ -24,11 +24,10 @@
 //! queueing unboundedly. Cache hits and coalesced followers bypass
 //! admission — they cost no evaluation.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use swjson::Json;
@@ -37,9 +36,9 @@ use swstore::{Store, StoreConfig};
 
 use crate::cache::{content_key, Begin, FlightError, ResultCache};
 use crate::eval;
-use crate::http::{error_body, read_request, write_json, ReadError, Request};
+use crate::http::{self, Handler, Request, Response};
 use crate::jobs::{JobStore, SubmitError};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{EndpointMetrics, ServerMetrics};
 use crate::netlist;
 
 /// How a [`Server`] is configured; see `repro serve --help` for the
@@ -216,43 +215,7 @@ impl Server {
     ///
     /// Only listener-level failures; per-connection errors are contained.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-        // Accept backoff: a fixed sleep on WouldBlock stalls connections
-        // that arrive just after the loop dozes off — under a bursty
-        // loadtest that backlog stacked up into a ~70 ms p99 tail. Stay
-        // hot (100 µs) right after activity and only decay to the 5 ms
-        // idle tick when the listener stays quiet.
-        const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(100);
-        const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(5);
-        let mut backoff = ACCEPT_BACKOFF_MIN;
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.shared
-                        .metrics
-                        .connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&self.shared);
-                    connections.push(thread::spawn(move || handle_connection(stream, &shared)));
-                    backoff = ACCEPT_BACKOFF_MIN;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            // Reap finished connection threads so the vec stays small on
-            // long-lived servers.
-            connections.retain(|c| !c.is_finished());
-        }
-        // Drain: no new connections; open ones notice the flag within
-        // one read-timeout tick and close after their in-flight request.
-        for connection in connections {
-            let _ = connection.join();
-        }
+        http::serve(&self.listener, &self.shared.shutdown, &*self.shared)?;
         self.shared.jobs.drain();
         sync_job_counters(&self.shared);
         if let Some(writer) = &self.shared.manifest {
@@ -281,7 +244,7 @@ fn retry_after_secs(backlog: usize, mean: Option<Duration>) -> u64 {
 impl Shared {
     /// Retry hint for shed evaluations: the admitted-leader backlog
     /// drained at this endpoint's observed mean latency.
-    fn eval_retry_after(&self, endpoint: &crate::metrics::EndpointMetrics) -> u64 {
+    fn eval_retry_after(&self, endpoint: &EndpointMetrics) -> u64 {
         let backlog = self.admitted.load(Ordering::SeqCst).max(self.queue_depth);
         retry_after_secs(backlog, endpoint.mean_latency())
     }
@@ -308,152 +271,76 @@ fn sync_job_counters(shared: &Shared) {
     }
 }
 
-/// One response, ready to write: status, extra headers, JSON body.
-struct Reply {
-    status: u16,
-    extra: Vec<(&'static str, String)>,
-    body: String,
+/// A 429 telling the client when retrying should succeed.
+fn shed(retry_secs: u64) -> Response {
+    Response::error(429, "server overloaded; retry shortly")
+        .with_header("retry-after", &retry_secs.to_string())
 }
 
-impl Reply {
-    fn json(status: u16, body: String) -> Reply {
-        Reply {
-            status,
-            extra: Vec::new(),
-            body,
-        }
-    }
-
-    fn error(status: u16, message: &str) -> Reply {
-        Reply::json(status, error_body(message))
-    }
-
-    fn shed(retry_secs: u64) -> Reply {
-        let mut reply = Reply::error(429, "server overloaded; retry shortly");
-        reply.extra.push(("retry-after", retry_secs.to_string()));
-        reply
-    }
-
-    fn cached(body: &str, x_cache: &str) -> Reply {
-        let mut reply = Reply::json(200, body.to_string());
-        reply.extra.push(("x-cache", x_cache.to_string()));
-        reply
-    }
+/// A 200 served through the cache; `x-cache` names the level.
+fn cached(body: &str, x_cache: &str) -> Response {
+    Response::json(200, body).with_header("x-cache", x_cache)
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    // Short read timeout so idle keep-alive connections notice a drain.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    loop {
-        let request = match read_request(&stream) {
-            Ok(request) => request,
-            Err(ReadError::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(ReadError::Closed) => return,
-            Err(ReadError::Malformed(message)) => {
-                let _ = write_json(&mut stream, 400, &[], &error_body(&message), false);
-                return;
-            }
-            Err(ReadError::BodyTooLarge) => {
-                let _ = write_json(&mut stream, 413, &[], &error_body("body too large"), false);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
-        };
-        let close = request.wants_close() || shared.shutdown.load(Ordering::SeqCst);
-
+impl Handler for Shared {
+    fn handle(&self, request: &Request) -> Response {
         let started = Instant::now();
-        let (reply, endpoint) = route(&request, shared);
-        let latency = started.elapsed();
-        endpoint_metrics(endpoint, shared).observe(latency, reply.status >= 400);
+        let (response, endpoint) = route(request, self);
+        endpoint.observe(started.elapsed(), response.status >= 400);
+        response
+    }
 
-        let extra: Vec<(&str, &str)> = reply
-            .extra
-            .iter()
-            .map(|(name, value)| (*name, value.as_str()))
-            .collect();
-        if write_json(&mut stream, reply.status, &extra, &reply.body, !close).is_err() || close {
-            return;
-        }
+    fn connected(&self) {
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Which endpoint a request landed on, for metrics attribution.
-#[derive(Clone, Copy)]
-enum Endpoint {
-    GateEval,
-    NetlistEval,
-    JobsSubmit,
-    JobsGet,
-    Healthz,
-    Metrics,
-    Other,
-}
-
-fn endpoint_metrics(endpoint: Endpoint, shared: &Shared) -> &crate::metrics::EndpointMetrics {
-    match endpoint {
-        Endpoint::GateEval => &shared.metrics.gate_eval,
-        Endpoint::NetlistEval => &shared.metrics.netlist_eval,
-        Endpoint::JobsSubmit => &shared.metrics.jobs_submit,
-        Endpoint::JobsGet => &shared.metrics.jobs_get,
-        Endpoint::Healthz => &shared.metrics.healthz,
-        Endpoint::Metrics => &shared.metrics.metrics,
-        Endpoint::Other => &shared.metrics.other,
-    }
-}
-
-fn route(request: &Request, shared: &Shared) -> (Reply, Endpoint) {
+/// Answers one request; also names the endpoint whose metrics it counts
+/// toward.
+fn route<'a>(request: &Request, shared: &'a Shared) -> (Response, &'a EndpointMetrics) {
+    let m = &shared.metrics;
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (healthz(shared), Endpoint::Healthz),
+        ("GET", "/healthz") => (healthz(shared), &m.healthz),
         ("POST", "/v1/gate/eval") => (
             cached_eval(
                 request,
                 shared,
-                &shared.metrics.gate_eval,
+                &m.gate_eval,
                 eval::normalize,
                 eval::evaluate,
             ),
-            Endpoint::GateEval,
+            &m.gate_eval,
         ),
         ("POST", "/v1/netlist/eval") => (
             cached_eval(
                 request,
                 shared,
-                &shared.metrics.netlist_eval,
+                &m.netlist_eval,
                 netlist::normalize,
                 netlist::evaluate,
             ),
-            Endpoint::NetlistEval,
+            &m.netlist_eval,
         ),
-        ("POST", "/v1/jobs") => (jobs_submit(request, shared), Endpoint::JobsSubmit),
-        ("GET", "/metrics") => (metrics_reply(shared), Endpoint::Metrics),
+        ("POST", "/v1/jobs") => (jobs_submit(request, shared), &m.jobs_submit),
+        ("GET", "/metrics") => (metrics_reply(shared), &m.metrics),
         ("POST", "/v1/admin/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            (
-                Reply::json(200, r#"{"draining":true}"#.to_string()),
-                Endpoint::Other,
-            )
+            (Response::json(200, r#"{"draining":true}"#), &m.other)
         }
         ("GET", path) if path.starts_with("/v1/jobs/") => {
             let id = &path["/v1/jobs/".len()..];
-            (jobs_get(id, shared), Endpoint::JobsGet)
+            (jobs_get(id, shared), &m.jobs_get)
         }
         (
             _,
             "/healthz" | "/metrics" | "/v1/gate/eval" | "/v1/netlist/eval" | "/v1/jobs"
             | "/v1/admin/shutdown",
-        ) => (Reply::error(405, "method not allowed"), Endpoint::Other),
-        _ => (Reply::error(404, "no such endpoint"), Endpoint::Other),
+        ) => (Response::error(405, "method not allowed"), &m.other),
+        _ => (Response::error(404, "no such endpoint"), &m.other),
     }
 }
 
-fn healthz(shared: &Shared) -> Reply {
+fn healthz(shared: &Shared) -> Response {
     let body = Json::obj([
         ("status", Json::str("ok")),
         (
@@ -463,12 +350,12 @@ fn healthz(shared: &Shared) -> Reply {
         ("jobs_in_flight", Json::Num(shared.jobs.in_flight() as f64)),
     ])
     .render();
-    Reply::json(200, body)
+    Response::json(200, &body)
 }
 
-fn metrics_reply(shared: &Shared) -> Reply {
+fn metrics_reply(shared: &Shared) -> Response {
     sync_job_counters(shared);
-    Reply::json(200, shared.metrics.render().render())
+    Response::json(200, &shared.metrics.render().render())
 }
 
 /// The canonicalize-then-cache serving policy shared by the gate and
@@ -480,23 +367,23 @@ fn metrics_reply(shared: &Shared) -> Reply {
 fn cached_eval(
     request: &Request,
     shared: &Shared,
-    endpoint: &crate::metrics::EndpointMetrics,
+    endpoint: &EndpointMetrics,
     normalize: fn(&Json) -> Result<Json, eval::EvalError>,
     evaluate: fn(&Json) -> Result<Json, eval::EvalError>,
-) -> Reply {
+) -> Response {
     let parsed = match Json::parse_bytes(&request.body) {
         Ok(parsed) => parsed,
-        Err(e) => return Reply::error(400, &format!("bad JSON: {e}")),
+        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
     let normalized = match normalize(&parsed) {
         Ok(normalized) => normalized,
-        Err(e) => return Reply::error(400, &e.message),
+        Err(e) => return Response::error(400, &e.message),
     };
     let key = content_key(&normalized.render());
     match shared.cache.begin(key) {
         Begin::Hit(body) => {
             shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Reply::cached(&body, "ram")
+            cached(&body, "ram")
         }
         Begin::Follower(flight) => match flight.wait() {
             Ok(body) => {
@@ -504,19 +391,19 @@ fn cached_eval(
                     .metrics
                     .cache_coalesced
                     .fetch_add(1, Ordering::Relaxed);
-                Reply::cached(&body, "coalesced")
+                cached(&body, "coalesced")
             }
             Err(FlightError::Shed) => {
                 shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                Reply::shed(shared.eval_retry_after(endpoint))
+                shed(shared.eval_retry_after(endpoint))
             }
-            Err(FlightError::Eval(message)) => Reply::error(400, &message),
-            Err(FlightError::Aborted) => Reply::error(500, "evaluation aborted"),
+            Err(FlightError::Eval(message)) => Response::error(400, &message),
+            Err(FlightError::Aborted) => Response::error(500, "evaluation aborted"),
         },
         Begin::Leader(token) => {
             if shared.shutdown.load(Ordering::SeqCst) {
                 shared.cache.abandon(token, FlightError::Shed);
-                return Reply::error(503, "server is draining");
+                return Response::error(503, "server is draining");
             }
             // Disk level, consulted under the leader token so N
             // concurrent identical requests still cost one disk read.
@@ -525,14 +412,14 @@ fn cached_eval(
             if let Some(store) = &shared.store {
                 if let Some(body) = store.get(key).and_then(|b| String::from_utf8(b).ok()) {
                     let body = shared.cache.complete(token, body);
-                    return Reply::cached(&body, "disk");
+                    return cached(&body, "disk");
                 }
             }
             if shared.admitted.fetch_add(1, Ordering::SeqCst) >= shared.queue_depth {
                 shared.admitted.fetch_sub(1, Ordering::SeqCst);
                 shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
                 shared.cache.abandon(token, FlightError::Shed);
-                return Reply::shed(shared.eval_retry_after(endpoint));
+                return shed(shared.eval_retry_after(endpoint));
             }
             let outcome = evaluate(&normalized).map(|result| result.render());
             shared.admitted.fetch_sub(1, Ordering::SeqCst);
@@ -548,26 +435,26 @@ fn cached_eval(
                         }
                     }
                     let body = shared.cache.complete(token, body);
-                    Reply::cached(&body, "miss")
+                    cached(&body, "miss")
                 }
                 Err(e) => {
                     shared
                         .cache
                         .abandon(token, FlightError::Eval(e.message.clone()));
-                    Reply::error(400, &e.message)
+                    Response::error(400, &e.message)
                 }
             }
         }
     }
 }
 
-fn jobs_submit(request: &Request, shared: &Shared) -> Reply {
+fn jobs_submit(request: &Request, shared: &Shared) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
-        return Reply::error(503, "server is draining");
+        return Response::error(503, "server is draining");
     }
     let parsed = match Json::parse_bytes(&request.body) {
         Ok(parsed) => parsed,
-        Err(e) => return Reply::error(400, &format!("bad JSON: {e}")),
+        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
     match shared.jobs.submit(&parsed) {
         Ok((id, resubmitted)) => {
@@ -582,21 +469,21 @@ fn jobs_submit(request: &Request, shared: &Shared) -> Reply {
                 ("resubmitted", Json::Bool(resubmitted)),
             ])
             .render();
-            Reply::json(202, body)
+            Response::json(202, &body)
         }
-        Err(SubmitError::Invalid(e)) => Reply::error(400, &e.message),
+        Err(SubmitError::Invalid(e)) => Response::error(400, &e.message),
         Err(SubmitError::Overloaded) => {
             shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            Reply::shed(shared.jobs_retry_after())
+            shed(shared.jobs_retry_after())
         }
-        Err(SubmitError::Closed) => Reply::error(503, "server is draining"),
+        Err(SubmitError::Closed) => Response::error(503, "server is draining"),
     }
 }
 
-fn jobs_get(id: &str, shared: &Shared) -> Reply {
+fn jobs_get(id: &str, shared: &Shared) -> Response {
     match shared.jobs.status(id) {
-        Some(status) => Reply::json(200, status.render()),
-        None => Reply::error(404, "no such job"),
+        Some(status) => Response::json(200, &status.render()),
+        None => Response::error(404, "no such job"),
     }
 }
 
@@ -653,9 +540,12 @@ mod tests {
         for (request, expected) in cases {
             let (reply, _) = route(&request, &shared);
             assert_eq!(
-                reply.status, expected,
+                reply.status,
+                expected,
                 "{} {} → {}",
-                request.method, request.path, reply.body
+                request.method,
+                request.path,
+                reply.text()
             );
         }
     }
@@ -666,12 +556,12 @@ mod tests {
         let request = post("/v1/gate/eval", r#"{"gate":"maj3","inputs":[0,1,1]}"#);
         let (first, _) = route(&request, &shared);
         assert_eq!(first.status, 200);
-        assert_eq!(first.extra, vec![("x-cache", "miss".to_string())]);
+        assert_eq!(first.header("x-cache"), Some("miss"));
         // Same meaning, different field order — still the same entry.
         let reordered = post("/v1/gate/eval", r#"{"inputs":[0,1,1],"gate":"maj3"}"#);
         let (second, _) = route(&reordered, &shared);
         assert_eq!(second.status, 200);
-        assert_eq!(second.extra, vec![("x-cache", "ram".to_string())]);
+        assert_eq!(second.header("x-cache"), Some("ram"));
         assert_eq!(first.body, second.body, "cache must not change bytes");
         assert_eq!(shared.metrics.cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(shared.metrics.cache_misses.load(Ordering::Relaxed), 1);
@@ -681,9 +571,9 @@ mod tests {
     fn netlist_eval_coalesces_equivalent_spellings() {
         let shared = test_shared(4);
         let (first, endpoint) = route(&post("/v1/netlist/eval", r#"{"demo":"mul2"}"#), &shared);
-        assert!(matches!(endpoint, Endpoint::NetlistEval));
-        assert_eq!(first.status, 200, "{}", first.body);
-        assert_eq!(first.extra, vec![("x-cache", "miss".to_string())]);
+        assert!(std::ptr::eq(endpoint, &shared.metrics.netlist_eval));
+        assert_eq!(first.status, 200, "{}", first.text());
+        assert_eq!(first.header("x-cache"), Some("miss"));
         // The same circuit spelled as netlist text lands on the same
         // cache entry: normalization compiles both to one canonical
         // form.
@@ -691,11 +581,11 @@ mod tests {
         let spelled = Json::obj([("source", Json::str(&source))]).render();
         let (second, _) = route(&post("/v1/netlist/eval", &spelled), &shared);
         assert_eq!(second.status, 200);
-        assert_eq!(second.extra, vec![("x-cache", "ram".to_string())]);
+        assert_eq!(second.header("x-cache"), Some("ram"));
         assert_eq!(first.body, second.body);
         // And the body matches the CLI responder byte for byte.
         let cli = netlist::respond(&Json::parse(r#"{"demo":"mul2"}"#).unwrap()).unwrap();
-        assert_eq!(first.body, cli);
+        assert_eq!(first.text(), cli);
     }
 
     #[test]
@@ -714,7 +604,7 @@ mod tests {
         );
         assert_eq!(gate.status, 200);
         assert_eq!(net.status, 200);
-        assert_eq!(net.extra, vec![("x-cache", "miss".to_string())]);
+        assert_eq!(net.header("x-cache"), Some("miss"));
         assert_ne!(gate.body, net.body);
         assert_eq!(shared.metrics.cache_misses.load(Ordering::Relaxed), 2);
     }
@@ -725,7 +615,11 @@ mod tests {
         let raw = r#"{"gate":"xor","inputs":[1,0],"backend":"paper"}"#;
         let (reply, _) = route(&post("/v1/gate/eval", raw), &shared);
         let cli = eval::respond(&Json::parse(raw).unwrap()).unwrap();
-        assert_eq!(reply.body, cli, "server and CLI must emit identical bytes");
+        assert_eq!(
+            reply.text(),
+            cli,
+            "server and CLI must emit identical bytes"
+        );
     }
 
     #[test]
@@ -738,10 +632,7 @@ mod tests {
         assert_eq!(reply.status, 429);
         // A cold server has no observed latency, so the derived
         // Retry-After falls back to its 1 s floor.
-        assert!(reply
-            .extra
-            .iter()
-            .any(|(name, value)| *name == "retry-after" && value == "1"));
+        assert_eq!(reply.header("retry-after"), Some("1"));
         assert_eq!(shared.metrics.shed.load(Ordering::Relaxed), 1);
         // Errors/sheds are not cached: capacity remains unused.
         assert!(shared.cache.is_empty());
@@ -774,13 +665,11 @@ mod tests {
             &shared,
         );
         assert_eq!(reply.status, 429);
-        assert!(
-            reply
-                .extra
-                .iter()
-                .any(|(name, value)| *name == "retry-after" && value == "8"),
+        assert_eq!(
+            reply.header("retry-after"),
+            Some("8"),
             "headers: {:?}",
-            reply.extra
+            reply.headers
         );
     }
 
@@ -801,14 +690,13 @@ mod tests {
             &shared,
         );
         assert_eq!(shed.status, 429);
-        assert!(
-            shed.extra
-                .iter()
-                .any(|(name, value)| *name == "retry-after" && value == "3"),
+        assert_eq!(
+            shed.header("retry-after"),
+            Some("3"),
             "headers: {:?}",
-            shed.extra
+            shed.headers
         );
-        let id = Json::parse(&hold.body)
+        let id = Json::parse(hold.text())
             .unwrap()
             .get("id")
             .and_then(Json::as_str)
@@ -822,20 +710,20 @@ mod tests {
         let shared = test_shared(4);
         let (submit, _) = route(&post("/v1/jobs", r#"{"kind":"sleep","ms":5}"#), &shared);
         assert_eq!(submit.status, 202);
-        let body = Json::parse(&submit.body).unwrap();
+        let body = Json::parse(submit.text()).unwrap();
         let id = body.get("id").and_then(Json::as_str).unwrap().to_string();
         assert_eq!(body.get("resubmitted").and_then(Json::as_bool), Some(false));
         shared.jobs.wait(&id);
         let (status, _) = route(&get(&format!("/v1/jobs/{id}")), &shared);
         assert_eq!(status.status, 200);
-        let status_body = Json::parse(&status.body).unwrap();
+        let status_body = Json::parse(status.text()).unwrap();
         assert_eq!(
             status_body.get("status").and_then(Json::as_str),
             Some("done")
         );
         // Resubmission returns the same id without new work.
         let (again, _) = route(&post("/v1/jobs", r#"{"kind":"sleep","ms":5}"#), &shared);
-        let again_body = Json::parse(&again.body).unwrap();
+        let again_body = Json::parse(again.text()).unwrap();
         assert_eq!(
             again_body.get("id").and_then(Json::as_str),
             Some(id.as_str())
@@ -860,7 +748,7 @@ mod tests {
         // Health stays observable while draining.
         let (health, _) = route(&get("/healthz"), &shared);
         assert_eq!(health.status, 200);
-        assert!(health.body.contains(r#""draining":true"#));
+        assert!(health.text().contains(r#""draining":true"#));
     }
 
     #[test]
