@@ -474,17 +474,7 @@ impl MumagBackend {
         layout: &TriangleMaj3Layout,
         inputs: [Bit; 3],
     ) -> Result<GateRun, SwGateError> {
-        let trims = self.maj3_trims(layout)?;
-        let plan = self.plan_maj3(layout)?;
-        let drives: Vec<DriveSpec> = inputs
-            .iter()
-            .zip(trims.iter())
-            .map(|(bit, trim)| DriveSpec {
-                amplitude_scale: trim.amplitude_scale,
-                phase: bit.phase() + trim.phase_offset,
-            })
-            .collect();
-        self.execute(plan, &drives, layout.wavelength())
+        Ok(one_run(self.maj3_run_batch(layout, &[inputs])?))
     }
 
     /// Runs the triangle MAJ3 gate for several input patterns at once,
@@ -510,14 +500,7 @@ impl MumagBackend {
         let prepared = patterns
             .iter()
             .map(|inputs| {
-                let drives: Vec<DriveSpec> = inputs
-                    .iter()
-                    .zip(trims.iter())
-                    .map(|(bit, trim)| DriveSpec {
-                        amplitude_scale: trim.amplitude_scale,
-                        phase: bit.phase() + trim.phase_offset,
-                    })
-                    .collect();
+                let drives = pattern_drives(inputs, &trims);
                 self.prepare(self.plan_maj3(layout)?, &drives, layout.wavelength())
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -542,14 +525,7 @@ impl MumagBackend {
         let prepared = patterns
             .iter()
             .map(|inputs| {
-                let drives: Vec<DriveSpec> = inputs
-                    .iter()
-                    .zip(trims.iter())
-                    .map(|(bit, trim)| DriveSpec {
-                        amplitude_scale: trim.amplitude_scale,
-                        phase: bit.phase() + trim.phase_offset,
-                    })
-                    .collect();
+                let drives = pattern_drives(inputs, &trims);
                 self.prepare(self.plan_xor(layout)?, &drives, layout.wavelength())
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -628,17 +604,7 @@ impl MumagBackend {
         layout: &TriangleXorLayout,
         inputs: [Bit; 2],
     ) -> Result<GateRun, SwGateError> {
-        let trims = self.xor_trims(layout)?;
-        let plan = self.plan_xor(layout)?;
-        let drives: Vec<DriveSpec> = inputs
-            .iter()
-            .zip(trims.iter())
-            .map(|(bit, trim)| DriveSpec {
-                amplitude_scale: trim.amplitude_scale,
-                phase: bit.phase() + trim.phase_offset,
-            })
-            .collect();
-        self.execute(plan, &drives, layout.wavelength())
+        Ok(one_run(self.xor_run_batch(layout, &[inputs])?))
     }
 
     /// Raw complex output amplitudes `(O1, O2)` of the XOR gate.
@@ -727,7 +693,8 @@ impl MumagBackend {
                     phase: 0.0,
                 })
                 .collect();
-            let run = backend.execute(plan_builder()?, &drives, wavelength)?;
+            let prepared = backend.prepare(plan_builder()?, &drives, wavelength)?;
+            let run = one_run(backend.measure_batch(vec![prepared])?);
             transfer.push((run.o1, run.o2));
         }
         Ok(transfer)
@@ -950,16 +917,6 @@ impl MumagBackend {
         })
     }
 
-    /// Rasterizes, wires and runs a gate plan.
-    fn execute(
-        &self,
-        plan: GatePlan,
-        drives: &[DriveSpec],
-        wavelength: f64,
-    ) -> Result<GateRun, SwGateError> {
-        self.measure(self.prepare(plan, drives, wavelength)?)
-    }
-
     /// Rasterizes and wires a gate plan into a ready-to-run simulation
     /// plus the timing and probe metadata the measurement phase needs.
     fn prepare(
@@ -1109,49 +1066,12 @@ impl MumagBackend {
         })
     }
 
-    /// Settles and measures one prepared gate with single-bin DFT probes
-    /// at both outputs.
-    fn measure(&self, prepared: PreparedGate) -> Result<GateRun, SwGateError> {
-        let PreparedGate {
-            mut sim,
-            frequency,
-            period,
-            settle,
-            probes,
-        } = prepared;
-        sim.run(settle)?;
-
-        let probe_region = |rect: (f64, f64, f64, f64)| {
-            let (rx0, ry0, rx1, ry1) = rect;
-            RegionProbe::over_rect(sim.mesh(), rx0, ry0, rx1, ry1, Component::X)
-        };
-        let mut probe1 = DftProbe::new(probe_region(probes[0]), frequency);
-        let mut probe2 = DftProbe::new(probe_region(probes[1]), frequency);
-        let sample_interval = period / self.samples_per_period as f64;
-        sim.run_sampled(
-            self.measure_periods as f64 * period,
-            sample_interval,
-            |t, s| {
-                probe1.sample(t, s.magnetization());
-                probe2.sample(t, s.magnetization());
-            },
-        )?;
-
-        let snapshot = sim.snapshot(Component::X);
-        Ok(GateRun {
-            o1: Complex64::from_polar(probe1.amplitude(), probe1.phase()),
-            o2: Complex64::from_polar(probe2.amplitude(), probe2.phase()),
-            snapshot,
-            frequency,
-            simulated_time: sim.time(),
-        })
-    }
-
     /// Settles and measures K prepared gates in lockstep through one
-    /// batched LLG advance. Every member's trajectory — and therefore
-    /// every returned [`GateRun`] — is bitwise identical to running
-    /// [`MumagBackend::measure`] on it alone; batching K same-layout
-    /// patterns only amortizes the field sweeps.
+    /// batched LLG advance, with single-bin DFT probes at both outputs
+    /// of every member. Every member's trajectory — and therefore every
+    /// returned [`GateRun`] — is bitwise identical to measuring it alone
+    /// (K = 1, which is how single-pattern runs are measured); batching
+    /// K same-layout patterns only amortizes the field sweeps.
     fn measure_batch(&self, prepared: Vec<PreparedGate>) -> Result<Vec<GateRun>, SwGateError> {
         let k = prepared.len();
         let host = &prepared[0];
@@ -1209,6 +1129,25 @@ impl MumagBackend {
             })
             .collect())
     }
+}
+
+/// The trimmed drives of one input pattern.
+fn pattern_drives(inputs: &[Bit], trims: &[DriveTrim]) -> Vec<DriveSpec> {
+    inputs
+        .iter()
+        .zip(trims)
+        .map(|(bit, trim)| DriveSpec {
+            amplitude_scale: trim.amplitude_scale,
+            phase: bit.phase() + trim.phase_offset,
+        })
+        .collect()
+}
+
+/// The one run of a single-pattern batch.
+fn one_run(runs: Vec<GateRun>) -> GateRun {
+    runs.into_iter()
+        .next()
+        .expect("a one-pattern batch yields one run")
 }
 
 /// A gate simulation assembled by [`MumagBackend::prepare`] and ready to

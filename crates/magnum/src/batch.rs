@@ -1,4 +1,6 @@
-//! Batched K-way simulation advance.
+//! The time-stepping engine: one Heun, one RK4 and one Cash–Karp
+//! stepper over K-interleaved state, behind both [`Simulation`] (K = 1)
+//! and [`BatchedSimulation`] (K ≥ 1).
 //!
 //! Every experiment in the paper reproduction is N nearly-identical LLG
 //! runs — the 8 MAJ3 input patterns, variability sweeps, thermal
@@ -6,23 +8,25 @@
 //! overhead (stencil tables, neighbour-presence branches, CSR offsets,
 //! fork/join, FFT twiddle/spectrum loads) on its own. A
 //! [`BatchedSimulation`] advances K member simulations in lockstep
-//! through one K-interleaved SoA sweep ([`LlgSystem::rhs_stage_batch`]):
-//! the shared geometry walk is amortized over all members and the
-//! innermost member loop runs over consecutive lanes the vectorizer can
-//! use.
+//! through one K-interleaved SoA sweep per stage
+//! ([`LlgSystem::rhs_stage_batch`]): the shared geometry walk is
+//! amortized over all members and the innermost member loop runs over
+//! consecutive lanes the vectorizer can use. A solo [`Simulation`] runs
+//! the same steppers, scratch and run loops on a batch of one, where the
+//! stage entry switches to its cell-vectorized sweep bodies.
 //!
 //! ## Layout and parity
 //!
 //! State lives in a [`FieldBatch`] (member `s` of cell `i` at flat index
 //! `i·K + s`). Interleaving is a pure permutation and every per-element
 //! expression — field terms, torque, stage combinations, renormalization
-//! — is the exact sequence the single-system path evaluates, so each
-//! member's trajectory is bitwise identical to an independent run at any
-//! thread count. The one exception is the adaptive [`CashKarp45`]
-//! scheme: its error estimate is a max over the *whole batch*, so all
-//! members share one step-size sequence — deterministic and identical
-//! across thread counts, but not equal to K independently-controlled
-//! runs. Use Heun or RK4 when batch/independent parity matters.
+//! — is the same sequence at every K, so each member's trajectory is
+//! bitwise identical to an independent run at any thread count. The one
+//! exception is the adaptive Cash–Karp scheme: its error estimate is a
+//! max over the *whole batch*, so all members share one step-size
+//! sequence — deterministic and identical across thread counts, but not
+//! equal to K independently-controlled runs. Use Heun or RK4 when
+//! batch/independent parity matters.
 //!
 //! ## Per-member state
 //!
@@ -34,21 +38,19 @@
 //! Everything structural — mesh, mask, material terms, damping map, time
 //! step, integrator, antenna *coverage* — must be shared; construction
 //! validates what it can observe and rejects mismatches.
-//!
-//! [`CashKarp45`]: crate::solver::CashKarp45
-//! [`ThermalField`]: crate::field::thermal::ThermalField
 
 use crate::error::MagnumError;
 use crate::excitation::Antenna;
+use crate::field::thermal::ThermalField;
 use crate::field3::{BatchMemberView, Field3, Field3Ptr, FieldBatch};
 use crate::llg::LlgSystem;
 use crate::math::Vec3;
 use crate::sim::Simulation;
 use crate::solver::{axpy_range, renormalize_and_check_batch, IntegratorKind};
 
-/// Shared scratch for one batched RHS stage: the interleaved base field
-/// and per-member de-interleave buffers for the unfused (FFT demag)
-/// pre-pass, plus the per-member per-antenna drive-field buffer
+/// Shared scratch for one RHS stage: the interleaved pre-pass field and,
+/// at K > 1, per-member de-interleave buffers for the unfused (FFT demag)
+/// pre-pass, plus the per-member per-antenna drive-field buffers
 /// (refilled in place each stage, so the hot loop never allocates).
 struct StageScratch {
     base: FieldBatch,
@@ -57,123 +59,146 @@ struct StageScratch {
     ant: Vec<Vec<Vec3>>,
 }
 
-/// Fills `out[s]` with member `s`'s per-antenna drive fields at time
-/// `t` — per member the exact expression [`LlgSystem::antenna_fields`]
-/// evaluates. `out` is empty when no member has antennas.
-fn fill_member_antenna_fields(antennas: &[Vec<Antenna>], t: f64, out: &mut [Vec<Vec3>]) {
-    for (dst, ants) in out.iter_mut().zip(antennas) {
-        for (d, a) in dst.iter_mut().zip(ants) {
-            *d = a.direction() * a.drive().value(t);
+impl StageScratch {
+    fn new(system: &LlgSystem, k: usize) -> Self {
+        let n = system.len();
+        let (base, member) = match (system.has_unfused(), k) {
+            (false, _) => (FieldBatch::empty(k), 0),
+            // A batch of one runs the pre-pass in place on its planes.
+            (true, 1) => (FieldBatch::zeros(n, 1), 0),
+            (true, _) => (FieldBatch::zeros(n, k), n),
+        };
+        StageScratch {
+            base,
+            m: Field3::zeros(member),
+            h: Field3::zeros(member),
+            ant: vec![Vec::new(); k],
         }
     }
 }
 
-/// One batched RHS stage: unfused pre-pass (one FFT plan *and* one demag
-/// scratch arena — padded planes, x-major spectrum buffer, per-thread
-/// row scratch — shared across members, so K runs pay for one set of
-/// transform state), per-member antenna drives at the stage time, then
-/// the fused K-interleaved sweep with the integrator's stage combination
-/// in `fuse`.
-#[allow(clippy::too_many_arguments)]
-fn eval_stage<F>(
-    system: &mut LlgSystem,
-    y: &FieldBatch,
-    t: f64,
-    k_out: &mut FieldBatch,
-    scratch: &mut StageScratch,
-    antennas: &[Vec<Antenna>],
-    thermal: &FieldBatch,
-    fuse: F,
-) where
-    F: Fn(usize, usize, Field3Ptr) + Sync,
-{
-    let wrote =
-        system.unfused_prepass_batch(y, t, &mut scratch.base, &mut scratch.m, &mut scratch.h);
-    fill_member_antenna_fields(antennas, t, &mut scratch.ant);
-    let base = if wrote { Some(&scratch.base) } else { None };
-    system.rhs_stage_batch(y, k_out, base, &scratch.ant, thermal, fuse);
+/// Everything one stage evaluation reads besides its input and output.
+struct Stage<'a> {
+    system: &'a mut LlgSystem,
+    scratch: &'a mut StageScratch,
+    /// Per-member antennas; `None` drives the system's own antennas (a
+    /// solo run, whose antennas may change between steps).
+    antennas: Option<&'a [Vec<Antenna>]>,
+    thermal: &'a FieldBatch,
 }
 
-/// Batched Heun stepper — the stage fuses of [`crate::solver::Heun`]
-/// applied to interleaved ranges (the axpy loops are elementwise, so they
-/// run on K-interleaved planes verbatim).
-struct BatchHeun {
+impl Stage<'_> {
+    /// One RHS stage: unfused pre-pass (one FFT plan *and* one demag
+    /// scratch arena shared across members, so K runs pay for one set of
+    /// transform state), per-member antenna drives at the stage time,
+    /// then the fused sweep with the integrator's stage combination in
+    /// `fuse`.
+    fn eval<F>(&mut self, y: &FieldBatch, t: f64, k_out: &mut FieldBatch, fuse: F)
+    where
+        F: Fn(usize, usize, Field3Ptr) + Sync,
+    {
+        let sc = &mut *self.scratch;
+        let wrote = self
+            .system
+            .unfused_prepass_batch(y, t, &mut sc.base, &mut sc.m, &mut sc.h);
+        let antennas = self
+            .antennas
+            .unwrap_or(std::slice::from_ref(&self.system.antennas));
+        for (dst, ants) in sc.ant.iter_mut().zip(antennas) {
+            dst.clear();
+            dst.extend(ants.iter().map(|a| a.direction() * a.drive().value(t)));
+        }
+        let base = if wrote { Some(&sc.base) } else { None };
+        self.system
+            .rhs_stage_batch(y, k_out, base, &sc.ant, self.thermal, fuse);
+    }
+
+    /// Renormalizes every member to |m| = 1 at time `t`.
+    fn renormalize(&self, m: &mut FieldBatch, t: f64) -> Result<(), MagnumError> {
+        let s = &*self.system;
+        renormalize_and_check_batch(m, &s.mask, s.full_film(), t, s.par())
+    }
+}
+
+/// Second-order Heun scheme.
+///
+/// With the thermal field frozen over the step this is the standard
+/// stochastic-Heun method, converging to the Stratonovich interpretation
+/// of the stochastic LLG equation — the physically correct one for
+/// Brown's thermal field. Both stages are single fused sweeps: the
+/// predictor `m + dt·k1` and the corrector `m + (k1+k2)·dt/2` are applied
+/// in the sweep's fuse hook (elementwise, so they run on interleaved
+/// planes verbatim).
+struct Heun {
     k1: FieldBatch,
     k2: FieldBatch,
     predictor: FieldBatch,
 }
 
-impl BatchHeun {
+impl Heun {
     fn new(cells: usize, k: usize) -> Self {
-        BatchHeun {
+        Heun {
             k1: FieldBatch::zeros(cells, k),
             k2: FieldBatch::zeros(cells, k),
             predictor: FieldBatch::zeros(cells, k),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
+        st: &mut Stage,
         t: f64,
         dt: f64,
         m: &mut FieldBatch,
     ) -> Result<f64, MagnumError> {
-        // Safety for the fuse hooks: as in the single-system stepper —
-        // blocks fuse disjoint interleaved ranges, no sweep writes a
-        // buffer its field evaluation reads.
+        // Safety for the fuse hooks: blocks fuse disjoint ranges, no
+        // sweep writes a buffer its field evaluation reads, and every
+        // read pointer's buffer outlives the sweep. Reads go through
+        // unchecked `Field3Read` so the axpy loops stay branch-free and
+        // vectorizable.
         {
             let pred = self.predictor.ptrs();
             let m_in = m.read_ptr();
-            eval_stage(
-                system,
-                &*m,
-                t,
-                &mut self.k1,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe { axpy_range(i0, i1, pred, m_in, k, dt) },
-            );
+            st.eval(&*m, t, &mut self.k1, |i0, i1, k| unsafe {
+                axpy_range(i0, i1, pred, m_in, k, dt)
+            });
         }
+        // The second sweep's field evaluation reads only `predictor`, so
+        // updating `m` in place at the block's own range is sound.
         {
             let k1 = self.k1.read_ptr();
             let m_out = m.ptrs();
-            eval_stage(
-                system,
-                &self.predictor,
-                t + dt,
-                &mut self.k2,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe {
-                    let (mx, my, mz) = m_out.planes();
-                    let (k1x, k1y, k1z) = k1.planes();
-                    let (k2x, k2y, k2z) = k.planes();
-                    for i in i0..i1 {
-                        *mx.add(i) += (*k1x.add(i) + *k2x.add(i)) * (dt / 2.0);
-                    }
-                    for i in i0..i1 {
-                        *my.add(i) += (*k1y.add(i) + *k2y.add(i)) * (dt / 2.0);
-                    }
-                    for i in i0..i1 {
-                        *mz.add(i) += (*k1z.add(i) + *k2z.add(i)) * (dt / 2.0);
-                    }
-                },
-            );
+            st.eval(&self.predictor, t + dt, &mut self.k2, |i0, i1, k| unsafe {
+                // Per-plane corrector loops, as in `axpy_range`.
+                let (mx, my, mz) = m_out.planes();
+                let (k1x, k1y, k1z) = k1.planes();
+                let (k2x, k2y, k2z) = k.planes();
+                for i in i0..i1 {
+                    *mx.add(i) += (*k1x.add(i) + *k2x.add(i)) * (dt / 2.0);
+                }
+                for i in i0..i1 {
+                    *my.add(i) += (*k1y.add(i) + *k2y.add(i)) * (dt / 2.0);
+                }
+                for i in i0..i1 {
+                    *mz.add(i) += (*k1z.add(i) + *k2z.add(i)) * (dt / 2.0);
+                }
+            });
         }
-        renormalize_and_check_batch(m, &system.mask, system.full_film(), t + dt, system.par())?;
+        st.renormalize(m, t + dt)?;
         Ok(dt)
     }
 }
 
-/// Batched RK4 stepper mirroring [`crate::solver::RungeKutta4`].
-struct BatchRk4 {
+/// The classic RK4 scheme — the default workhorse for deterministic
+/// spin-wave runs (MuMax3's default family as well).
+///
+/// Every stage is one fused sweep: the RHS evaluation writes the next
+/// stage input (`m + k·dt/2`, …) through the fuse hook, and the final
+/// stage applies the `(k1 + 2k2 + 2k3 + k4)·dt/6` combination in place.
+/// Two stage buffers ping-pong so a sweep never writes the buffer its
+/// field evaluation is reading; `k4` is consumed inside its own sweep, so
+/// only its scratch output reuses the idle ping-pong buffer.
+struct Rk4 {
     k1: FieldBatch,
     k2: FieldBatch,
     k3: FieldBatch,
@@ -181,9 +206,9 @@ struct BatchRk4 {
     stage_b: FieldBatch,
 }
 
-impl BatchRk4 {
+impl Rk4 {
     fn new(cells: usize, k: usize) -> Self {
-        BatchRk4 {
+        Rk4 {
             k1: FieldBatch::zeros(cells, k),
             k2: FieldBatch::zeros(cells, k),
             k3: FieldBatch::zeros(cells, k),
@@ -192,56 +217,36 @@ impl BatchRk4 {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
+        st: &mut Stage,
         t: f64,
         dt: f64,
         m: &mut FieldBatch,
     ) -> Result<f64, MagnumError> {
+        // Safety for every fuse hook: as in `Heun::step`.
+        let m_in = m.read_ptr();
         {
             let out = self.stage_a.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
-                &*m,
-                t,
-                &mut self.k1,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe { axpy_range(i0, i1, out, m_in, k, dt / 2.0) },
-            );
+            st.eval(&*m, t, &mut self.k1, |i0, i1, k| unsafe {
+                axpy_range(i0, i1, out, m_in, k, dt / 2.0)
+            });
         }
         {
             let out = self.stage_b.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
+            st.eval(
                 &self.stage_a,
                 t + dt / 2.0,
                 &mut self.k2,
-                scratch,
-                antennas,
-                thermal,
                 |i0, i1, k| unsafe { axpy_range(i0, i1, out, m_in, k, dt / 2.0) },
             );
         }
         {
             let out = self.stage_a.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
+            st.eval(
                 &self.stage_b,
                 t + dt / 2.0,
                 &mut self.k3,
-                scratch,
-                antennas,
-                thermal,
                 |i0, i1, k| unsafe { axpy_range(i0, i1, out, m_in, k, dt) },
             );
         }
@@ -250,15 +255,13 @@ impl BatchRk4 {
             let k2 = self.k2.read_ptr();
             let k3 = self.k3.read_ptr();
             let m_out = m.ptrs();
-            eval_stage(
-                system,
+            st.eval(
                 &self.stage_a,
                 t + dt,
                 &mut self.stage_b,
-                scratch,
-                antennas,
-                thermal,
                 |i0, i1, k| unsafe {
+                    // Per-plane loops, as in `axpy_range`: each loop reads
+                    // four k planes and updates one m plane.
                     let (mx, my, mz) = m_out.planes();
                     let (k1x, k1y, k1z) = k1.planes();
                     let (k2x, k2y, k2z) = k2.planes();
@@ -282,12 +285,12 @@ impl BatchRk4 {
                 },
             );
         }
-        renormalize_and_check_batch(m, &system.mask, system.full_film(), t + dt, system.par())?;
+        st.renormalize(m, t + dt)?;
         Ok(dt)
     }
 }
 
-// Cash–Karp Butcher tableau (identical to the single-system stepper).
+// Cash–Karp Butcher tableau.
 const A: [[f64; 5]; 5] = [
     [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0],
     [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0],
@@ -319,12 +322,35 @@ const B4: [f64; 6] = [
     1.0 / 4.0,
 ];
 
-/// Batched Cash–Karp 5(4) stepper.
+/// The error fold's `max`, keeping NaN: `f64::max` drops a NaN operand,
+/// which would score an exploded step as error 0 and accept it. On
+/// non-NaN inputs it returns what `f64::max` returns.
+fn max_keep_nan(acc: f64, e: f64) -> f64 {
+    if acc > e || acc.is_nan() {
+        acc
+    } else {
+        e
+    }
+}
+
+/// Adaptive 5th-order scheme with an embedded 4th-order error estimate
+/// (Cash–Karp coefficients).
 ///
-/// The embedded error estimate is the max-norm over *all* members, so
-/// the controller drives one shared step-size sequence for the whole
-/// batch (see the module docs for the parity caveat).
-struct BatchCashKarp {
+/// The step is retried with a smaller `dt` until the max-norm of the
+/// difference between the 5th- and 4th-order solutions is below the
+/// configured tolerance; the accepted step size is returned and the next
+/// suggestion is kept for the following step. The estimate is the max
+/// over *all* members, so the controller drives one shared step-size
+/// sequence for the whole batch (see the module docs for the parity
+/// caveat).
+///
+/// Each of the six stages is one fused sweep: the sweep computing `k_s`
+/// also assembles the stage input for `k_{s+1}` (the `m + Σ a·dt·k`
+/// combination, accumulated in ascending order) in its fuse hook. Two
+/// stage buffers ping-pong so a sweep never writes the buffer its field
+/// evaluation reads. The embedded-error finish is its own block-parallel
+/// reduction.
+struct CashKarp {
     tolerance: f64,
     suggested: Option<f64>,
     k: [FieldBatch; 6],
@@ -333,9 +359,9 @@ struct BatchCashKarp {
     y5: FieldBatch,
 }
 
-impl BatchCashKarp {
+impl CashKarp {
     fn new(cells: usize, k: usize, tolerance: f64) -> Self {
-        BatchCashKarp {
+        CashKarp {
             tolerance: tolerance.max(1e-14),
             suggested: None,
             k: std::array::from_fn(|_| FieldBatch::zeros(cells, k)),
@@ -346,22 +372,22 @@ impl BatchCashKarp {
     }
 
     /// Evaluates the six stages and returns the batch-wide max-norm
-    /// error estimate (exact `f64::max` fold, thread-count independent).
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
-        t: f64,
-        dt: f64,
-        m: &FieldBatch,
-    ) -> f64 {
+    /// error estimate — non-finite when any element exploded. The
+    /// per-block maxima are folded in block order; a max over disjoint
+    /// index sets is exact, so the estimate (and therefore the step-size
+    /// control path) is identical for any thread count.
+    fn attempt(&mut self, st: &mut Stage, t: f64, dt: f64, m: &FieldBatch) -> f64 {
         let m_r = m.read_ptr();
         for s in 0..6 {
+            // Split borrows: k[s] is written, k[0..s] are read in the
+            // fuse hook — through unchecked `Field3Read` pointers taken
+            // after the split, so the fused inner loop stays branch-free.
             let (head, tail) = self.k.split_at_mut(s);
-            let head_r: Vec<_> = head.iter().map(|kb| kb.read_ptr()).collect();
+            let mut head_r = [m_r; 5];
+            for (r, kb) in head_r.iter_mut().zip(head.iter()) {
+                *r = kb.read_ptr();
+            }
+            let head_r = &head_r[..s.min(5)];
             let k_out = &mut tail[0];
             let (y, out): (&FieldBatch, _) = match s {
                 0 => (m, self.stage_a.ptrs()),
@@ -369,34 +395,26 @@ impl BatchCashKarp {
                 _ => (&self.stage_b, self.stage_a.ptrs()),
             };
             let ts = if s == 0 { t } else { t + C[s] * dt };
-            // Safety: as in the single-system stepper — disjoint
-            // interleaved index sets per block, read buffers not mutated
-            // during the sweep.
-            eval_stage(
-                system,
-                y,
-                ts,
-                k_out,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| {
-                    if s == 5 {
-                        return;
+            // Safety (all unchecked reads below): each block fuses a
+            // disjoint index set, `i` is in bounds for every buffer, and
+            // the buffers behind `m_r`/`head_r` are not mutated during
+            // the sweep; the sweep's field evaluation never reads `out`.
+            st.eval(y, ts, k_out, |i0, i1, k| {
+                if s == 5 {
+                    return;
+                }
+                for i in i0..i1 {
+                    let mut acc = unsafe { m_r.get(i) };
+                    for (jj, kb) in head_r.iter().enumerate() {
+                        acc += unsafe { kb.get(i) } * (A[s][jj] * dt);
                     }
-                    for i in i0..i1 {
-                        let mut acc = unsafe { m_r.get(i) };
-                        for (jj, kb) in head_r.iter().enumerate() {
-                            acc += unsafe { kb.get(i) } * (A[s][jj] * dt);
-                        }
-                        acc += unsafe { k.read(i) } * (A[s][s] * dt);
-                        unsafe { out.write(i, acc) };
-                    }
-                },
-            );
+                    acc += unsafe { k.read(i) } * (A[s][s] * dt);
+                    unsafe { out.write(i, acc) };
+                }
+            });
         }
         let total = m.cells() * m.k();
-        let team = system.par();
+        let team = st.system.par();
         let nb = team.threads().max(1);
         let k = &self.k;
         let md = m.data();
@@ -414,20 +432,16 @@ impl BatchCashKarp {
                 }
                 // Safety: chunk ranges are disjoint across blocks.
                 unsafe { out.write(i, y5) };
-                err = err.max((y5 - y4).norm());
+                err = max_keep_nan(err, (y5 - y4).norm());
             }
             err
         });
-        partials.into_iter().fold(0.0, f64::max)
+        partials.into_iter().fold(0.0, max_keep_nan)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn step(
         &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
+        st: &mut Stage,
         t: f64,
         dt: f64,
         m: &mut FieldBatch,
@@ -435,8 +449,9 @@ impl BatchCashKarp {
         let mut h = self.suggested.map_or(dt, |s| s.min(dt));
         let min_step = dt * 1e-6;
         loop {
-            let err = self.attempt(system, scratch, antennas, thermal, t, h, m);
+            let err = self.attempt(st, t, h, m);
             if !err.is_finite() {
+                // Retry with a much smaller step before giving up.
                 h *= 0.1;
                 if h < min_step {
                     return Err(MagnumError::Diverged { time: t });
@@ -445,13 +460,8 @@ impl BatchCashKarp {
             }
             if err <= self.tolerance {
                 m.data_mut().copy_from(self.y5.data());
-                renormalize_and_check_batch(
-                    m,
-                    &system.mask,
-                    system.full_film(),
-                    t + h,
-                    system.par(),
-                )?;
+                st.renormalize(m, t + h)?;
+                // Controller: grow conservatively, cap at the hint `dt`.
                 let factor = if err == 0.0 {
                     5.0
                 } else {
@@ -469,43 +479,219 @@ impl BatchCashKarp {
     }
 }
 
-/// Integrator dispatch for the batch path.
-enum BatchStepper {
-    Heun(BatchHeun),
-    Rk4(BatchRk4),
+/// The integrator scheme.
+enum Scheme {
+    Heun(Heun),
+    Rk4(Rk4),
     // Boxed: the Cash-Karp state (error planes + controller) is ~2x the
     // other variants; keep the enum small for the common fixed-step case.
-    CashKarp(Box<BatchCashKarp>),
+    CashKarp(Box<CashKarp>),
 }
 
-impl BatchStepper {
-    fn new(kind: IntegratorKind, cells: usize, k: usize) -> Self {
-        match kind {
-            IntegratorKind::Heun => BatchStepper::Heun(BatchHeun::new(cells, k)),
-            IntegratorKind::RungeKutta4 => BatchStepper::Rk4(BatchRk4::new(cells, k)),
+/// One integrator instance with its stage buffers and stage scratch,
+/// sized for a system and a batch width.
+struct Stepper {
+    scheme: Scheme,
+    scratch: StageScratch,
+}
+
+impl Stepper {
+    fn new(kind: IntegratorKind, system: &LlgSystem, k: usize) -> Self {
+        let cells = system.len();
+        let scheme = match kind {
+            IntegratorKind::Heun => Scheme::Heun(Heun::new(cells, k)),
+            IntegratorKind::RungeKutta4 => Scheme::Rk4(Rk4::new(cells, k)),
             IntegratorKind::CashKarp45 { tolerance } => {
-                BatchStepper::CashKarp(Box::new(BatchCashKarp::new(cells, k, tolerance)))
+                Scheme::CashKarp(Box::new(CashKarp::new(cells, k, tolerance)))
             }
+        };
+        Stepper {
+            scheme,
+            scratch: StageScratch::new(system, k),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Advances `m` by one step starting at time `t` with suggested step
+    /// `dt`, returning the step size actually taken (the adaptive scheme
+    /// may take less).
+    ///
+    /// # Errors
+    ///
+    /// * [`MagnumError::Diverged`] if the state becomes non-finite.
+    /// * [`MagnumError::StepSizeUnderflow`] if the adaptive scheme
+    ///   cannot meet its tolerance.
     fn step(
         &mut self,
         system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
+        antennas: Option<&[Vec<Antenna>]>,
         thermal: &FieldBatch,
         t: f64,
         dt: f64,
         m: &mut FieldBatch,
     ) -> Result<f64, MagnumError> {
-        match self {
-            BatchStepper::Heun(s) => s.step(system, scratch, antennas, thermal, t, dt, m),
-            BatchStepper::Rk4(s) => s.step(system, scratch, antennas, thermal, t, dt, m),
-            BatchStepper::CashKarp(s) => s.step(system, scratch, antennas, thermal, t, dt, m),
+        let mut st = Stage {
+            system,
+            scratch: &mut self.scratch,
+            antennas,
+            thermal,
+        };
+        match &mut self.scheme {
+            Scheme::Heun(s) => s.step(&mut st, t, dt, m),
+            Scheme::Rk4(s) => s.step(&mut st, t, dt, m),
+            Scheme::CashKarp(s) => s.step(&mut st, t, dt, m),
         }
     }
+}
+
+/// The state a stepped simulation owns: the K-interleaved magnetization,
+/// the thermal planes, the clock and the stepper. [`Simulation`] holds one
+/// at K = 1, [`BatchedSimulation`] one at K.
+pub(crate) struct Engine {
+    kind: IntegratorKind,
+    pub(crate) m: FieldBatch,
+    /// K-interleaved thermal realization for the current step (empty at
+    /// T = 0).
+    thermal: FieldBatch,
+    /// Per-member draw buffer: each member's own RNG stream writes here
+    /// before interleaving, so streams never mix.
+    thermal_scratch: Vec<Vec3>,
+    /// Built on the first step, so a simulation that only ever runs as a
+    /// batch member allocates no stage buffers of its own.
+    stepper: Option<Stepper>,
+    pub(crate) time: f64,
+    pub(crate) dt: f64,
+}
+
+impl Engine {
+    /// An engine over the members in `m`, at clock `time` with step `dt`;
+    /// `thermal` reserves the thermal planes (T > 0).
+    pub(crate) fn new(
+        kind: IntegratorKind,
+        m: FieldBatch,
+        thermal: bool,
+        time: f64,
+        dt: f64,
+    ) -> Self {
+        let (n, k) = (m.cells(), m.k());
+        Engine {
+            kind,
+            m,
+            thermal: if thermal {
+                FieldBatch::zeros(n, k)
+            } else {
+                FieldBatch::empty(k)
+            },
+            thermal_scratch: if thermal {
+                vec![Vec3::ZERO; n]
+            } else {
+                Vec::new()
+            },
+            stepper: None,
+            time,
+            dt,
+        }
+    }
+
+    /// The integrator scheme.
+    pub(crate) fn kind(&self) -> IntegratorKind {
+        self.kind
+    }
+
+    /// The thermal realization of the current step (empty at T = 0).
+    pub(crate) fn thermal(&self) -> &FieldBatch {
+        &self.thermal
+    }
+
+    /// Draws member `s`'s realization for the coming step from its own
+    /// generator: the same ascending-cell draw sequence as the member's
+    /// independent run.
+    pub(crate) fn draw_thermal(&mut self, s: usize, source: &mut ThermalField) {
+        source.draw(self.dt, &mut self.thermal_scratch);
+        self.thermal.load_member(s, &self.thermal_scratch[..]);
+    }
+
+    /// Advances every member by one step from the current clock and
+    /// returns the step taken, without moving the clock. `frozen` leaves
+    /// the thermal field out (relaxation).
+    pub(crate) fn advance(
+        &mut self,
+        system: &mut LlgSystem,
+        antennas: Option<&[Vec<Antenna>]>,
+        frozen: bool,
+    ) -> Result<f64, MagnumError> {
+        let (kind, k) = (self.kind, self.m.k());
+        let stepper = self
+            .stepper
+            .get_or_insert_with(|| Stepper::new(kind, system, k));
+        let none = FieldBatch::empty(k);
+        let thermal = if frozen { &none } else { &self.thermal };
+        stepper.step(system, antennas, thermal, self.time, self.dt, &mut self.m)
+    }
+
+    /// Advances every member by one step and moves the clock.
+    pub(crate) fn step(
+        &mut self,
+        system: &mut LlgSystem,
+        antennas: Option<&[Vec<Antenna>]>,
+    ) -> Result<(), MagnumError> {
+        self.time += self.advance(system, antennas, false)?;
+        Ok(())
+    }
+}
+
+/// A simulation that steps on a clock; the run loops below serve both
+/// [`Simulation`] and [`BatchedSimulation`].
+pub(crate) trait Clocked {
+    /// Current simulation time in seconds.
+    fn now(&self) -> f64;
+    /// Advances by one step.
+    fn advance(&mut self) -> Result<(), MagnumError>;
+}
+
+/// Runs for `duration` seconds (rounded up to whole steps).
+pub(crate) fn run<S: Clocked>(sim: &mut S, duration: f64) -> Result<(), MagnumError> {
+    let t_end = sim.now() + duration;
+    while sim.now() < t_end - 1e-21 {
+        sim.advance()?;
+    }
+    Ok(())
+}
+
+/// Runs for `duration` seconds, invoking `observer` every
+/// `sample_interval` seconds of simulated time (and once at the start);
+/// see [`Simulation::run_sampled`] for the schedule.
+pub(crate) fn run_sampled<S, F>(
+    sim: &mut S,
+    duration: f64,
+    sample_interval: f64,
+    mut observer: F,
+) -> Result<(), MagnumError>
+where
+    S: Clocked,
+    F: FnMut(f64, &S),
+{
+    if !(sample_interval.is_finite() && sample_interval > 0.0) {
+        return Err(MagnumError::InvalidConfig {
+            reason: format!("sample interval must be positive and finite, got {sample_interval}"),
+        });
+    }
+    let t0 = sim.now();
+    let t_end = t0 + duration;
+    let mut taken: u64 = 0;
+    while sim.now() < t_end - 1e-21 {
+        if sim.now() >= t0 + taken as f64 * sample_interval - 1e-21 {
+            observer(sim.now(), sim);
+            taken += 1;
+        }
+        sim.advance()?;
+    }
+    // The loop exits at t_end, so a sample scheduled for the final
+    // instant has not fired yet; take it now. If the next scheduled
+    // sample lies beyond the run, everything due has already fired.
+    if taken == 0 || t0 + taken as f64 * sample_interval <= t_end + 1e-21 {
+        observer(sim.now(), sim);
+    }
+    Ok(())
 }
 
 /// K same-geometry simulations advanced in lockstep through one batched
@@ -520,18 +706,7 @@ pub struct BatchedSimulation {
     /// Per-member antennas (cloned out of the members so stage
     /// evaluation does not alias the host system borrow).
     member_antennas: Vec<Vec<Antenna>>,
-    m: FieldBatch,
-    /// K-interleaved thermal realization for the current step (empty at
-    /// T = 0).
-    thermal: FieldBatch,
-    /// Per-member draw buffer: each member's own RNG stream writes here
-    /// before interleaving, so streams never mix.
-    thermal_scratch: Vec<Vec3>,
-    stepper: BatchStepper,
-    scratch: StageScratch,
-    has_thermal: bool,
-    time: f64,
-    dt: f64,
+    engine: Engine,
 }
 
 impl BatchedSimulation {
@@ -604,52 +779,17 @@ impl BatchedSimulation {
         for (s, sim) in sims.iter().enumerate() {
             m.load_member(s, sim.magnetization());
         }
-        let has_thermal = host.has_thermal();
-        let thermal = if has_thermal {
-            FieldBatch::zeros(n, k)
-        } else {
-            FieldBatch::empty(k)
-        };
-        let thermal_scratch = if has_thermal {
-            vec![Vec3::ZERO; n]
-        } else {
-            Vec::new()
-        };
-        let n_ant = host.system_ref().antennas.len();
-        let ant = if n_ant == 0 {
-            Vec::new()
-        } else {
-            vec![vec![Vec3::ZERO; n_ant]; k]
-        };
-        let scratch = if host.system_ref().has_unfused() {
-            StageScratch {
-                base: FieldBatch::zeros(n, k),
-                m: Field3::zeros(n),
-                h: Field3::zeros(n),
-                ant,
-            }
-        } else {
-            StageScratch {
-                base: FieldBatch::empty(k),
-                m: Field3::zeros(0),
-                h: Field3::zeros(0),
-                ant,
-            }
-        };
-        let stepper = BatchStepper::new(host.integrator_kind(), n, k);
-        let time = host.time();
-        let dt = host.time_step();
+        let engine = Engine::new(
+            host.integrator_kind(),
+            m,
+            host.has_thermal(),
+            host.time(),
+            host.time_step(),
+        );
         Ok(BatchedSimulation {
             sims,
             member_antennas,
-            m,
-            thermal,
-            thermal_scratch,
-            stepper,
-            scratch,
-            has_thermal,
-            time,
-            dt,
+            engine,
         })
     }
 
@@ -660,12 +800,12 @@ impl BatchedSimulation {
 
     /// Current simulation time in seconds (shared by all members).
     pub fn time(&self) -> f64 {
-        self.time
+        self.engine.time
     }
 
     /// The fixed time step in seconds.
     pub fn time_step(&self) -> f64 {
-        self.dt
+        self.engine.dt
     }
 
     /// The worker-thread count of the shared engine.
@@ -676,7 +816,7 @@ impl BatchedSimulation {
     /// Read-only view of member `s`'s magnetization (usable wherever a
     /// [`crate::MagRead`] is accepted — probes, snapshots).
     pub fn member(&self, s: usize) -> BatchMemberView<'_> {
-        self.m.member(s)
+        self.engine.m.member(s)
     }
 
     /// Member `s`'s simulation (mesh, material, probes geometry). Its
@@ -690,8 +830,8 @@ impl BatchedSimulation {
     /// member simulation.
     pub fn sync_members(&mut self) {
         for (s, sim) in self.sims.iter_mut().enumerate() {
-            self.m.store_member(s, sim.magnetization_mut());
-            sim.set_time_internal(self.time);
+            self.engine.m.store_member(s, sim.magnetization_mut());
+            sim.set_time_internal(self.engine.time);
         }
     }
 
@@ -709,31 +849,13 @@ impl BatchedSimulation {
     /// Propagates integrator failures ([`MagnumError::Diverged`],
     /// [`MagnumError::StepSizeUnderflow`]).
     pub fn step(&mut self) -> Result<(), MagnumError> {
-        if self.has_thermal {
-            // Draw each member's realization from its own generator into
-            // the member-shaped scratch, then interleave: the same
-            // ascending-cell draw sequence as the member's independent
-            // run, stream by stream.
-            for s in 0..self.sims.len() {
-                let thermal = self.sims[s]
-                    .thermal_field_mut()
-                    .expect("thermal presence validated at construction");
-                thermal.draw(self.dt, &mut self.thermal_scratch);
-                self.thermal.load_member(s, &self.thermal_scratch[..]);
+        for (s, sim) in self.sims.iter_mut().enumerate() {
+            if let Some(source) = sim.thermal_field_mut() {
+                self.engine.draw_thermal(s, source);
             }
         }
-        let system = self.sims[0].system_mut();
-        let taken = self.stepper.step(
-            system,
-            &mut self.scratch,
-            &self.member_antennas,
-            &self.thermal,
-            self.time,
-            self.dt,
-            &mut self.m,
-        )?;
-        self.time += taken;
-        Ok(())
+        let host = self.sims[0].system_mut();
+        self.engine.step(host, Some(&self.member_antennas))
     }
 
     /// Runs for `duration` seconds (rounded up to whole steps).
@@ -742,11 +864,7 @@ impl BatchedSimulation {
     ///
     /// Propagates the first step failure.
     pub fn run(&mut self, duration: f64) -> Result<(), MagnumError> {
-        let t_end = self.time + duration;
-        while self.time < t_end - 1e-21 {
-            self.step()?;
-        }
-        Ok(())
+        run(self, duration)
     }
 
     /// Runs for `duration` seconds, invoking `observer` every
@@ -762,32 +880,21 @@ impl BatchedSimulation {
         &mut self,
         duration: f64,
         sample_interval: f64,
-        mut observer: F,
+        observer: F,
     ) -> Result<(), MagnumError>
     where
         F: FnMut(f64, &BatchedSimulation),
     {
-        if !(sample_interval.is_finite() && sample_interval > 0.0) {
-            return Err(MagnumError::InvalidConfig {
-                reason: format!(
-                    "sample interval must be positive and finite, got {sample_interval}"
-                ),
-            });
-        }
-        let t0 = self.time;
-        let t_end = t0 + duration;
-        let mut taken: u64 = 0;
-        while self.time < t_end - 1e-21 {
-            if self.time >= t0 + taken as f64 * sample_interval - 1e-21 {
-                observer(self.time, self);
-                taken += 1;
-            }
-            self.step()?;
-        }
-        if taken == 0 || t0 + taken as f64 * sample_interval <= t_end + 1e-21 {
-            observer(self.time, self);
-        }
-        Ok(())
+        run_sampled(self, duration, sample_interval, observer)
+    }
+}
+
+impl Clocked for BatchedSimulation {
+    fn now(&self) -> f64 {
+        self.engine.time
+    }
+    fn advance(&mut self) -> Result<(), MagnumError> {
+        self.step()
     }
 }
 
@@ -795,9 +902,9 @@ impl std::fmt::Debug for BatchedSimulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchedSimulation")
             .field("k", &self.k())
-            .field("cells", &self.m.cells())
-            .field("time", &self.time)
-            .field("dt", &self.dt)
+            .field("cells", &self.engine.m.cells())
+            .field("time", &self.engine.time)
+            .field("dt", &self.engine.dt)
             .finish()
     }
 }
@@ -811,6 +918,7 @@ mod tests {
     use crate::material::Material;
     use crate::mesh::Mesh;
     use crate::sim::SimulationBuilder;
+    use crate::solver::test_support::{macrospin, macrospin_analytic};
 
     const CELL: f64 = 5e-9;
 
@@ -836,6 +944,342 @@ mod tests {
 
     fn collect(sim: &Simulation) -> Vec<Vec3> {
         sim.magnetization().to_vec()
+    }
+
+    /// The triangle gate of the golden traces: apex to the right, an
+    /// antenna on the left edge, an absorbing frame.
+    fn shaped_gate(phase: f64, threads: usize) -> SimulationBuilder {
+        let (nx, ny) = (48, 24);
+        let mut mesh = Mesh::new(nx, ny, [CELL, CELL, 1e-9]).unwrap();
+        let (w, h) = (nx as f64 * CELL, ny as f64 * CELL);
+        let triangle = crate::geometry::Polygon::new(vec![(0.0, 0.0), (0.0, h), (w, h / 2.0)]);
+        crate::geometry::rasterize(&mut mesh, &triangle);
+        let antenna = Antenna::over_rect(
+            &mesh,
+            0.0,
+            0.0,
+            2.0 * CELL,
+            h,
+            Vec3::X,
+            Drive::logic_cw(3e3, 9e9, phase),
+        );
+        Simulation::builder(mesh, Material::fecob())
+            .uniform_magnetization(Vec3::Z)
+            .demag(DemagMethod::ThinFilmLocal)
+            .absorbing_frame(AbsorbingFrame::new(3, 0.5))
+            .antenna(antenna)
+            .threads(threads)
+            .min_cells_per_thread(0)
+    }
+
+    #[test]
+    fn batches_of_one_and_two_match_solo_runs_on_the_shaped_gate() {
+        // K = 1 runs the cell-vectorized sweep bodies, K = 2 the lane
+        // bodies; both must reproduce the solo trajectory bit for bit.
+        // Cash–Karp shares one step-size controller across the batch, so
+        // its two members carry the same drive: only then is the shared
+        // step sequence each member's own.
+        type Build = fn(usize, usize) -> Simulation;
+        let heun: Build = |s, threads| {
+            shaped_gate(1.1 * s as f64, threads)
+                .integrator(IntegratorKind::Heun)
+                .temperature(300.0)
+                .seed(5 + s as u64)
+                .build()
+                .unwrap()
+        };
+        let cash_karp: Build = |_, threads| {
+            shaped_gate(0.4, threads)
+                .integrator(IntegratorKind::CashKarp45 { tolerance: 1e-7 })
+                .build()
+                .unwrap()
+        };
+        let steps = 6;
+        for (name, build) in [("heun at 300 K", heun), ("cash-karp", cash_karp)] {
+            for threads in [1, 4] {
+                let solo: Vec<(Vec<Vec3>, f64)> = (0..2)
+                    .map(|s| {
+                        let mut sim = build(s, threads);
+                        for _ in 0..steps {
+                            sim.step().unwrap();
+                        }
+                        (collect(&sim), sim.time())
+                    })
+                    .collect();
+                for k in [1, 2] {
+                    let members = (0..k).map(|s| build(s, threads)).collect();
+                    let mut batch = BatchedSimulation::new(members).unwrap();
+                    for _ in 0..steps {
+                        batch.step().unwrap();
+                    }
+                    for (s, sim) in batch.into_members().iter().enumerate() {
+                        assert_eq!(
+                            (collect(sim), sim.time()),
+                            solo[s],
+                            "{name}: K = {k} member {s} diverged at {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+        let (a, b) = (heun(0, 1), heun(1, 1));
+        let mut pair = [a, b];
+        for sim in &mut pair {
+            sim.step().unwrap();
+        }
+        assert_ne!(collect(&pair[0]), collect(&pair[1]), "members must differ");
+    }
+
+    /// A stepper for `kind` on the macrospin, with m = x̂.
+    fn macrospin_stepper(
+        kind: IntegratorKind,
+        alpha: f64,
+        h: f64,
+    ) -> (LlgSystem, Stepper, FieldBatch) {
+        let sys = macrospin(alpha, h);
+        let stepper = Stepper::new(kind, &sys, 1);
+        let mut m = FieldBatch::zeros(1, 1);
+        m.set(0, 0, Vec3::X);
+        (sys, stepper, m)
+    }
+
+    /// One solo step of the macrospin (no antennas, T = 0).
+    fn solo_step(
+        stepper: &mut Stepper,
+        sys: &mut LlgSystem,
+        t: f64,
+        dt: f64,
+        m: &mut FieldBatch,
+    ) -> Result<f64, MagnumError> {
+        stepper.step(sys, None, &FieldBatch::empty(1), t, dt, m)
+    }
+
+    /// Integrates the macrospin from m = x̂ to `t_end` with steps of at
+    /// most `dt`.
+    fn run_macrospin(kind: IntegratorKind, alpha: f64, h: f64, t_end: f64, dt: f64) -> Vec3 {
+        let (mut sys, mut stepper, mut m) = macrospin_stepper(kind, alpha, h);
+        let mut t = 0.0;
+        while t < t_end - 1e-18 {
+            let step = dt.min(t_end - t);
+            t += solo_step(&mut stepper, &mut sys, t, step, &mut m).expect("step failed");
+        }
+        m.get(0, 0)
+    }
+
+    fn suggested_dt(stepper: &Stepper) -> Option<f64> {
+        match &stepper.scheme {
+            Scheme::CashKarp(ck) => ck.suggested,
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn all_integrators_match_macrospin_analytics() {
+        let alpha = 0.1;
+        let h = 1e5;
+        let t_end = 50e-12;
+        let expected = macrospin_analytic(alpha, h, t_end);
+        for kind in [
+            IntegratorKind::Heun,
+            IntegratorKind::RungeKutta4,
+            IntegratorKind::CashKarp45 { tolerance: 1e-8 },
+        ] {
+            let m = run_macrospin(kind, alpha, h, t_end, 5e-15);
+            let err = (m - expected).norm();
+            assert!(
+                err < 1e-4,
+                "{kind:?} error vs analytic solution too large: {err} (m = {m}, expected {expected})"
+            );
+        }
+    }
+
+    #[test]
+    fn integrators_preserve_unit_norm() {
+        for kind in [
+            IntegratorKind::Heun,
+            IntegratorKind::RungeKutta4,
+            IntegratorKind::CashKarp45 { tolerance: 1e-7 },
+        ] {
+            let m = run_macrospin(kind, 0.02, 5e5, 100e-12, 1e-14);
+            assert!(
+                (m.norm() - 1.0).abs() < 1e-12,
+                "{kind:?} drifted off the unit sphere"
+            );
+        }
+    }
+
+    #[test]
+    fn rk4_is_more_accurate_than_heun_at_same_step() {
+        let alpha = 0.05;
+        let h = 2e5;
+        let t_end = 100e-12;
+        let dt = 1e-13;
+        let expected = macrospin_analytic(alpha, h, t_end);
+        let err_heun = (run_macrospin(IntegratorKind::Heun, alpha, h, t_end, dt) - expected).norm();
+        let err_rk4 =
+            (run_macrospin(IntegratorKind::RungeKutta4, alpha, h, t_end, dt) - expected).norm();
+        assert!(
+            err_rk4 < err_heun,
+            "RK4 ({err_rk4}) should beat Heun ({err_heun}) at dt = {dt}"
+        );
+    }
+
+    #[test]
+    fn heun_converges_at_second_order() {
+        let alpha = 0.1;
+        let h = 1e5;
+        let t_end = 40e-12;
+        let expected = macrospin_analytic(alpha, h, t_end);
+        let mut errors = Vec::new();
+        for &dt in &[2e-14, 1e-14, 5e-15] {
+            let (mut sys, mut stepper, mut m) = macrospin_stepper(IntegratorKind::Heun, alpha, h);
+            let steps = (t_end / dt).round() as usize;
+            let mut t = 0.0;
+            for _ in 0..steps {
+                solo_step(&mut stepper, &mut sys, t, dt, &mut m).unwrap();
+                t += dt;
+            }
+            errors.push((m.get(0, 0) - expected).norm());
+        }
+        // Halving dt should cut the error by ~4 (2nd order); allow slack
+        // because renormalization perturbs the asymptotics slightly.
+        assert!(
+            errors[0] / errors[1] > 2.5,
+            "convergence ratio too low: {:?}",
+            errors
+        );
+        assert!(errors[1] / errors[2] > 2.5);
+    }
+
+    #[test]
+    fn heun_step_returns_dt() {
+        let (mut sys, mut stepper, mut m) = macrospin_stepper(IntegratorKind::Heun, 0.01, 1e5);
+        let taken = solo_step(&mut stepper, &mut sys, 0.0, 1e-14, &mut m).unwrap();
+        assert_eq!(taken, 1e-14);
+    }
+
+    #[test]
+    fn rk4_high_accuracy_on_macrospin() {
+        let alpha = 0.05;
+        let h = 2e5;
+        let t_end: f64 = 100e-12;
+        let m = run_macrospin(IntegratorKind::RungeKutta4, alpha, h, t_end, 2e-14);
+        let expected = macrospin_analytic(alpha, h, t_end);
+        assert!(
+            (m - expected).norm() < 1e-8,
+            "RK4 error {} too large",
+            (m - expected).norm()
+        );
+    }
+
+    #[test]
+    fn rk4_diverges_cleanly_on_absurd_step() {
+        // A gigantic dt makes the update blow up; the integrator must
+        // report divergence rather than silently continuing.
+        let (mut sys, mut stepper, mut m) =
+            macrospin_stepper(IntegratorKind::RungeKutta4, 0.01, 1e7);
+        let mut failed = false;
+        for i in 0..100 {
+            match solo_step(&mut stepper, &mut sys, i as f64, 1.0, &mut m) {
+                Err(MagnumError::Diverged { .. }) => {
+                    failed = true;
+                    break;
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+                Ok(_) => {
+                    // Renormalization may keep it bounded; that's fine too.
+                }
+            }
+        }
+        // Either it diverged and said so, or the projection kept |m| = 1.
+        if !failed {
+            assert!((m.get(0, 0).norm() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn cash_karp_meets_tolerance_on_macrospin() {
+        let alpha = 0.1;
+        let h0 = 1e5;
+        let t_end: f64 = 100e-12;
+        let kind = IntegratorKind::CashKarp45 { tolerance: 1e-10 };
+        let (mut sys, mut stepper, mut m) = macrospin_stepper(kind, alpha, h0);
+        let mut t = 0.0;
+        while t < t_end - 1e-18 {
+            let hint = (t_end - t).min(1e-12);
+            t += solo_step(&mut stepper, &mut sys, t, hint, &mut m).unwrap();
+        }
+        let expected = macrospin_analytic(alpha, h0, t_end);
+        let err = (m.get(0, 0) - expected).norm();
+        assert!(err < 1e-6, "adaptive error {err}");
+    }
+
+    #[test]
+    fn cash_karp_shrinks_step_when_tolerance_is_tight() {
+        let kind = IntegratorKind::CashKarp45 { tolerance: 1e-12 };
+        let (mut sys, mut stepper, mut m) = macrospin_stepper(kind, 0.1, 1e6);
+        let taken = solo_step(&mut stepper, &mut sys, 0.0, 1e-11, &mut m).unwrap();
+        assert!(taken <= 1e-11);
+        assert!(suggested_dt(&stepper).is_some());
+    }
+
+    #[test]
+    fn cash_karp_loose_tolerance_accepts_the_hint() {
+        let kind = IntegratorKind::CashKarp45 { tolerance: 1e-3 };
+        let (mut sys, mut stepper, mut m) = macrospin_stepper(kind, 0.1, 1e4);
+        let taken = solo_step(&mut stepper, &mut sys, 0.0, 1e-14, &mut m).unwrap();
+        assert_eq!(taken, 1e-14);
+    }
+
+    #[test]
+    fn cash_karp_suggestion_never_exceeds_hint() {
+        let kind = IntegratorKind::CashKarp45 { tolerance: 1e-6 };
+        let (mut sys, mut stepper, mut m) = macrospin_stepper(kind, 0.05, 1e5);
+        for i in 0..50 {
+            solo_step(&mut stepper, &mut sys, i as f64 * 1e-13, 1e-13, &mut m).unwrap();
+            assert!(suggested_dt(&stepper).unwrap() <= 1e-13 + 1e-30);
+        }
+    }
+
+    #[test]
+    fn cash_karp_never_accepts_an_exploded_attempt() {
+        // A 1e7 A/m macrospin with a hint far beyond its stability limit:
+        // the stages overflow to ±inf and NaN. The error estimate must
+        // say so, and the step must retry smaller or fail at its own
+        // start time — not accept the explosion and report a time the
+        // run never reached.
+        let kind = IntegratorKind::CashKarp45 { tolerance: 1e-6 };
+        let t0 = 0.5;
+        for hint in [1.0, 1e-3] {
+            let (mut sys, mut stepper, m) = macrospin_stepper(kind, 0.01, 1e7);
+            let Stepper { scheme, scratch } = &mut stepper;
+            let Scheme::CashKarp(ck) = scheme else {
+                unreachable!("built as Cash–Karp")
+            };
+            let mut st = Stage {
+                system: &mut sys,
+                scratch,
+                antennas: None,
+                thermal: &FieldBatch::empty(1),
+            };
+            let err = ck.attempt(&mut st, t0, hint, &m);
+            assert!(
+                !err.is_finite(),
+                "hint {hint}: exploded attempt scored {err}"
+            );
+
+            let (mut sys, mut stepper, mut m) = macrospin_stepper(kind, 0.01, 1e7);
+            match solo_step(&mut stepper, &mut sys, t0, hint, &mut m) {
+                Ok(taken) => {
+                    assert!(taken < hint, "hint {hint}: accepted the exploded step");
+                    assert!((m.get(0, 0).norm() - 1.0).abs() < 1e-9);
+                }
+                Err(MagnumError::Diverged { time } | MagnumError::StepSizeUnderflow { time }) => {
+                    assert_eq!(time, t0, "hint {hint}: failure must carry the step's start")
+                }
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
     }
 
     #[test]

@@ -14,32 +14,44 @@
 //! At construction every local term is compiled to a [`FusedTerm`] op, the
 //! magnetic cells are gathered into an index list with a precomputed
 //! 4-neighbour stencil, and antenna coverage is flattened into a CSR map.
-//! [`LlgSystem::rhs_stage`] then makes a single pass over the magnetic
-//! cells — evaluating every op, the antenna drives, the thermal field,
-//! the LLG torque *and* the caller's fused stage update per cell — split
-//! into contiguous blocks executed by the simulation's [`WorkerTeam`].
-//! Each cell's arithmetic is independent of the block partition and each
-//! block writes a disjoint output range, so results are bitwise identical
-//! for any thread count. Non-local terms (the FFT demag) run in a
-//! pre-pass through [`FieldTerm::accumulate_par`] on the same worker
-//! team — the whole spectral pipeline (row FFTs, tiled transposes,
-//! column FFTs, spectral multiply) decomposes into block-ordered spans
-//! on that team — using per-term scratch owned by the system (no locks,
-//! no per-call allocation); the reference paths (`effective_field`,
-//! `max_torque`, energy accounting) use the terms' thread-safe
-//! `accumulate` fallback, which is bitwise identical by contract.
+//! [`LlgSystem::rhs_stage_batch`] then makes a single pass over the
+//! magnetic cells — evaluating every op, the antenna drives, the thermal
+//! field, the LLG torque *and* the caller's fused stage update per cell —
+//! split into contiguous blocks executed by the simulation's
+//! [`WorkerTeam`]. Each cell's arithmetic is independent of the block
+//! partition and each block writes a disjoint output range, so results
+//! are bitwise identical for any thread count. Non-local terms (the FFT
+//! demag) run in a pre-pass through [`FieldTerm::accumulate_par`] on the
+//! same worker team — the whole spectral pipeline (row FFTs, tiled
+//! transposes, column FFTs, spectral multiply) decomposes into
+//! block-ordered spans on that team — using per-term scratch owned by the
+//! system (no locks, no per-call allocation); the reference paths
+//! (`effective_field`, `max_torque`, energy accounting) use the terms'
+//! thread-safe `accumulate` fallback, which is bitwise identical by
+//! contract.
+//!
+//! ## One stage entry, two sweep bodies
+//!
+//! State lives in K-interleaved [`FieldBatch`] planes (a solo simulation
+//! is the batch of one). The stage entry picks its sweep body from the
+//! batch width K: at K = 1 the cell-vectorized bodies
+//! (`sweep_interior`/`sweep_scalar`) run, whose inner loops stream over
+//! consecutive cells; at K > 1 the lane bodies run, whose inner loops
+//! stream over the K members of one cell (AVX2 where the host has it).
+//! Each wins on its own side: a lane loop of length one is pure overhead,
+//! and a cell loop cannot amortize the stencil walk over members. Both
+//! evaluate the same per-element expression sequence, so a member's
+//! trajectory is bitwise the same whichever body ran it.
 //!
 //! ## Single-sweep stage fusion
 //!
-//! The state and torque buffers are SoA [`Field3`] planes. Integrators
-//! pass a `fuse` closure to [`LlgSystem::rhs_stage`]; it is invoked with
-//! `(i, k_i)` right after the torque for cell `i` is computed, while the
-//! cell is still hot in cache, and typically writes the next stage input
-//! (`m + dt·b·k` style combinations) through disjoint-range raw plane
-//! pointers. Vacuum cells get `fuse(i, Vec3::ZERO)` so the stage
-//! arithmetic covers exactly the same cells the old full-mesh axpy passes
-//! did. Every cell is visited once per stage instead of once for the
-//! field, once for the torque and once per stage combination.
+//! Integrators pass a `fuse` closure to the stage entry; it is invoked
+//! with a block's flat range and a raw view of the stage output right
+//! after the block's torques are computed, while the cells are still hot
+//! in cache, and typically writes the next stage input (`m + dt·b·k`
+//! style combinations) through disjoint-range raw plane pointers. Every
+//! cell is visited once per stage instead of once for the field, once for
+//! the torque and once per stage combination.
 
 use crate::excitation::Antenna;
 use crate::field::{FieldTerm, FusedTerm};
@@ -54,15 +66,13 @@ const NO_NEIGHBOUR: u32 = u32::MAX;
 /// One contiguous slice of the mesh assigned to a worker block.
 #[derive(Debug, Clone, Copy)]
 struct Block {
-    /// Flat cell-index range `[start, end)` — used to zero vacuum cells.
+    /// Flat cell-index range `[start, end)` — fused in place on full
+    /// films.
     flat: (usize, usize),
     /// Range into the magnetic-cell list — the actual compute work.
     list: (usize, usize),
     /// Range into [`FusedKernel::segs`] covering `list`.
     segs: (usize, usize),
-    /// Whether `flat` contains any vacuum cells (skips the zeroing scan
-    /// on full films).
-    has_vacuum: bool,
 }
 
 /// A contiguous piece of a block's magnetic-cell list: either an interior
@@ -365,8 +375,6 @@ struct FusedKernel {
 pub(crate) struct SystemSpec {
     pub terms: Vec<Box<dyn FieldTerm>>,
     pub antennas: Vec<Antenna>,
-    /// Thermal buffer (empty at T = 0, one entry per cell otherwise).
-    pub thermal: Vec<Vec3>,
     /// Per-cell Gilbert damping.
     pub alpha: Vec<f64>,
     /// |γ| in rad/(s·T).
@@ -384,7 +392,6 @@ impl SystemSpec {
         let SystemSpec {
             terms,
             antennas,
-            thermal,
             alpha,
             gamma,
             mask,
@@ -490,7 +497,6 @@ impl SystemSpec {
                 flat,
                 list,
                 segs: (seg0, segs.len()),
-                has_vacuum: (flat.0..flat.1).any(|i| !mask[i]),
             });
         }
 
@@ -500,7 +506,6 @@ impl SystemSpec {
             terms,
             term_scratch,
             antennas,
-            thermal,
             alpha,
             prefactor: Vec::new(),
             gamma,
@@ -527,18 +532,17 @@ impl SystemSpec {
 }
 
 /// The assembled LLG system: field terms, antennas, damping map and the
-/// frozen thermal-field buffer for the current step.
+/// compiled fused kernel. The state, the stage buffers and the thermal
+/// realization belong to the caller and are passed in per call.
 ///
-/// Constructed by [`crate::sim::SimulationBuilder`]; integrators only call
-/// [`LlgSystem::rhs`].
+/// Constructed by [`crate::sim::SimulationBuilder`]; the steppers in
+/// [`crate::batch`] call [`LlgSystem::rhs_stage_batch`].
 pub struct LlgSystem {
     pub(crate) terms: Vec<Box<dyn FieldTerm>>,
     /// Per-term hot-path scratch (`None` for terms without any), indexed
-    /// like `terms` and threaded through `accumulate_par` by `rhs`.
+    /// like `terms` and threaded through `accumulate_par` by the pre-pass.
     term_scratch: Vec<Option<Box<dyn std::any::Any + Send + Sync>>>,
     pub(crate) antennas: Vec<Antenna>,
-    /// Thermal field realization for the current step (all zeros at T=0).
-    pub(crate) thermal: Vec<Vec3>,
     /// Per-cell Gilbert damping.
     pub(crate) alpha: Vec<f64>,
     /// Per-cell `−γμ₀/(1+α²)`, derived from `alpha` — precomputing it
@@ -572,7 +576,7 @@ impl LlgSystem {
     }
 
     /// True when the mask has no vacuum cells (see
-    /// [`renormalize_and_check`][crate::solver] for why integrators care).
+    /// [`crate::solver`]'s renormalization for why integrators care).
     pub(crate) fn full_film(&self) -> bool {
         self.kernel.full_film
     }
@@ -649,7 +653,8 @@ impl LlgSystem {
 
     /// Effective field at one magnetic cell, assembled from the serial
     /// pre-pass (`base`), the fused ops, the antenna drives and the
-    /// thermal buffer — in exactly the order the term-by-term path uses.
+    /// thermal planes (empty at T = 0) — in exactly the order the
+    /// term-by-term path uses.
     ///
     /// `mx`/`my`/`mz` are the component planes of the stage input; the
     /// exchange stencil gathers neighbours from them directly.
@@ -665,6 +670,7 @@ impl LlgSystem {
         mz: &[f64],
         base: Option<&Field3>,
         ant_fields: &[Vec3],
+        thermal: &Field3,
     ) -> Vec3 {
         let mut h = match base {
             Some(b) => b.get(i),
@@ -711,8 +717,8 @@ impl LlgSystem {
                 }
             }
         }
-        if !self.thermal.is_empty() {
-            h += self.thermal[i];
+        if !thermal.is_empty() {
+            h += thermal.get(i);
         }
         h
     }
@@ -727,15 +733,11 @@ impl LlgSystem {
         (mxh + mxmxh * alpha) * prefactor
     }
 
-    /// Hot-path pre-pass: runs each non-fusable term through
-    /// `accumulate_par` with the worker team and the term's own scratch —
+    /// Runs each non-fusable term through `accumulate_par` with the
+    /// worker team and the term's own scratch into a zeroed `h` —
     /// lock-free and allocation-free, bitwise identical to the reference
-    /// `accumulate` path for any team size. Returns whether anything was
-    /// written into `h`.
-    fn unfused_prepass_par(&mut self, m: &Field3, t: f64, h: &mut Field3) -> bool {
-        if self.kernel.unfused.is_empty() {
-            return false;
-        }
+    /// `accumulate` path for any team size.
+    fn accumulate_unfused(&mut self, m: &Field3, t: f64, h: &mut Field3) {
         h.fill(Vec3::ZERO);
         let LlgSystem {
             terms,
@@ -750,15 +752,15 @@ impl LlgSystem {
                 .map(|s| &mut **s as &mut (dyn std::any::Any + Send + Sync));
             terms[ti].accumulate_par(m, t, h, team, scratch);
         }
-        true
     }
 
-    /// Computes the effective field (A/m) into `h` at time `t`.
+    /// Computes the effective field (A/m) into `h` at time `t`, with the
+    /// thermal realization `thermal` (empty at T = 0).
     ///
-    /// This is the term-by-term reference path (used by energy accounting,
-    /// probes and tests); the integrator hot loop uses the fused kernel in
-    /// [`LlgSystem::rhs`] instead.
-    pub fn effective_field(&self, m: &[Vec3], t: f64, h: &mut [Vec3]) {
+    /// This is the term-by-term reference path (used by probes and
+    /// tests); the integrator hot loop uses the fused kernel in
+    /// [`LlgSystem::rhs_stage_batch`] instead.
+    pub fn effective_field(&self, m: &[Vec3], t: f64, thermal: &[Vec3], h: &mut [Vec3]) {
         h.fill(Vec3::ZERO);
         for term in &self.terms {
             term.accumulate(m, t, h);
@@ -766,128 +768,43 @@ impl LlgSystem {
         for antenna in &self.antennas {
             antenna.accumulate(t, h);
         }
-        if !self.thermal.is_empty() {
-            for (hi, th) in h.iter_mut().zip(self.thermal.iter()) {
-                *hi += *th;
-            }
+        for (hi, th) in h.iter_mut().zip(thermal) {
+            *hi += *th;
         }
     }
 
-    /// Evaluates `dm/dt` into `dmdt`, using `h_scratch` for the field.
-    ///
-    /// Vacuum cells get zero torque.
-    pub fn rhs(&mut self, m: &Field3, t: f64, dmdt: &mut Field3, h_scratch: &mut Field3) {
-        self.rhs_stage(m, t, dmdt, h_scratch, |_, _, _| {});
-    }
-
-    /// The fused stage kernel: evaluates `dm/dt` of the stage input `y`
-    /// into `k_out`, then invokes `fuse(i0, i1, k)` once per worker block
-    /// with the block's flat cell range and a raw view of `k_out`, while
-    /// the block's data is still cache-resident. Integrators use `fuse`
-    /// to apply the axpy-style stage combinations (`m + dt·b·k`, the
-    /// final RK update, …) that used to be separate full-mesh passes.
-    ///
-    /// `fuse` gets a whole contiguous range rather than one cell at a
-    /// time so its loop stays a plain streaming axpy the compiler can
-    /// vectorize on its own — a per-cell callback inside the field sweep
-    /// defeats the sweep's vectorization through opaque raw-pointer
-    /// aliasing.
-    ///
-    /// Vacuum cells have `k = 0` written before `fuse` runs, so the fused
-    /// arithmetic covers exactly the index set the old full-mesh stage
-    /// passes did.
-    ///
-    /// `fuse` runs on worker threads; each block invokes it for a
-    /// disjoint cell range, so writing through raw plane pointers inside
-    /// `i0..i1` is sound. It must not read any cell another block may
-    /// write concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) if buffer lengths mismatch.
-    pub(crate) fn rhs_stage<F>(
-        &mut self,
-        y: &Field3,
-        t: f64,
-        k_out: &mut Field3,
-        h_scratch: &mut Field3,
-        fuse: F,
-    ) where
-        F: Fn(usize, usize, Field3Ptr) + Sync,
-    {
-        debug_assert_eq!(y.len(), self.len());
-        debug_assert_eq!(k_out.len(), self.len());
-        debug_assert_eq!(h_scratch.len(), self.len());
-        let wrote_base = self.unfused_prepass_par(y, t, h_scratch);
-        let out = k_out.ptrs();
-        // The mutable phase (per-term scratch) is over; the fused region
-        // only reads the system.
-        let this: &LlgSystem = &*self;
-        let base = if wrote_base { Some(&*h_scratch) } else { None };
-        let ant_fields = this.antenna_fields(t);
-        let (mx, my, mz) = (y.xs(), y.ys(), y.zs());
-        this.team.run(&|b| {
-            let block = this.kernel.blocks[b];
-            // Vacuum cells in this block's flat range get zero torque;
-            // magnetic cells are written by the segment loops below. The
-            // two partitions are disjoint per cell, so every `k_out`
-            // element is written exactly once across all blocks.
-            if block.has_vacuum {
-                for i in block.flat.0..block.flat.1 {
-                    if !this.mask[i] {
-                        // Safety: flat ranges are disjoint across blocks
-                        // and only vacuum cells are touched here.
-                        unsafe { out.write(i, Vec3::ZERO) };
+    /// One block's share of the K = 1 sweep: the segment walk
+    /// dispatching interior runs and scalar stretches to the
+    /// cell-vectorized bodies.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn sweep_block(
+        &self,
+        b: usize,
+        mx: &[f64],
+        my: &[f64],
+        mz: &[f64],
+        base: Option<&Field3>,
+        ant_fields: &[Vec3],
+        thermal: &Field3,
+        out: Field3Ptr,
+    ) {
+        let block = self.kernel.blocks[b];
+        match self.kernel.std_ops {
+            Some(std) => {
+                for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
+                    if seg.interior {
+                        self.sweep_interior(*seg, std, mx, my, mz, base, ant_fields, thermal, out);
+                    } else {
+                        let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
+                        self.sweep_scalar(ci0, ci1, mx, my, mz, base, ant_fields, thermal, out);
                     }
                 }
             }
-            match this.kernel.std_ops {
-                Some(std) => {
-                    for seg in &this.kernel.segs[block.segs.0..block.segs.1] {
-                        if seg.interior {
-                            this.sweep_interior(*seg, std, mx, my, mz, base, &ant_fields, out);
-                        } else {
-                            this.sweep_scalar(
-                                seg.ci0 as usize,
-                                seg.ci1 as usize,
-                                mx,
-                                my,
-                                mz,
-                                base,
-                                &ant_fields,
-                                out,
-                            );
-                        }
-                    }
-                }
-                None => this.sweep_scalar(
-                    block.list.0,
-                    block.list.1,
-                    mx,
-                    my,
-                    mz,
-                    base,
-                    &ant_fields,
-                    out,
-                ),
+            None => {
+                let (ci0, ci1) = block.list;
+                self.sweep_scalar(ci0, ci1, mx, my, mz, base, ant_fields, thermal, out);
             }
-            // On a full film every block's list range is its flat range,
-            // so the block fuses exactly the cells it just wrote — no
-            // cross-block ordering is needed and the data is still
-            // cache-resident.
-            if this.kernel.full_film {
-                fuse(block.flat.0, block.flat.1, out);
-            }
-        });
-        if !this.kernel.full_film {
-            // With vacuum the flat and list chunkings own different cell
-            // sets, so a block may fuse a cell another block wrote. The
-            // `team.run` barrier above orders every `k_out` write before
-            // the fuse reads.
-            this.team.run(&|b| {
-                let block = this.kernel.blocks[b];
-                fuse(block.flat.0, block.flat.1, out);
-            });
         }
     }
 
@@ -904,12 +821,13 @@ impl LlgSystem {
         mz: &[f64],
         base: Option<&Field3>,
         ant_fields: &[Vec3],
+        thermal: &Field3,
         out: Field3Ptr,
     ) {
         for ci in ci0..ci1 {
             let i = self.kernel.cells[ci] as usize;
             let mi = Vec3::new(mx[i], my[i], mz[i]);
-            let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields);
+            let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields, thermal);
             let k = self.torque(i, mi, h);
             // Safety: list ranges are disjoint across blocks and only
             // magnetic cells are touched here.
@@ -936,6 +854,7 @@ impl LlgSystem {
         mz: &[f64],
         base: Option<&Field3>,
         ant_fields: &[Vec3],
+        thermal: &Field3,
         out: Field3Ptr,
     ) {
         let i0 = self.kernel.cells[seg.ci0 as usize] as usize;
@@ -949,7 +868,7 @@ impl LlgSystem {
         // `Option`s ahead of the loop leaves a straight-line body that
         // LLVM can unswitch and vectorize; the generic arm below keeps
         // loop-invariant conditionals per cell, which blocks that.
-        if ant_fields.is_empty() && self.thermal.is_empty() && base.is_none() {
+        if ant_fields.is_empty() && thermal.is_empty() && base.is_none() {
             if let (Some((coeff_x, coeff_y)), Some((ku, axis)), Some(ms), Some(zee)) =
                 (std.ex, std.uni, std.film, std.zee)
             {
@@ -1019,8 +938,8 @@ impl LlgSystem {
                     }
                 }
             }
-            if !self.thermal.is_empty() {
-                h += self.thermal[i];
+            if !thermal.is_empty() {
+                h += thermal.get(i);
             }
             let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
             let mxh = mi.cross(h);
@@ -1037,17 +956,21 @@ impl LlgSystem {
         !self.kernel.unfused.is_empty()
     }
 
-    /// Batched analogue of the unfused pre-pass: de-interleaves each
-    /// member of `y`, runs every non-fusable term through
-    /// `accumulate_par` with the *shared* worker team and per-term
-    /// scratch, and interleaves the result into `base`. Because the K
-    /// members reuse one term instance and one scratch, the K Newell
-    /// demag convolutions share a single FFT plan — twiddle tables,
-    /// transpose buffers and kernel spectra are loaded once per batch
-    /// step instead of once per member. Per member the call sequence is
-    /// exactly the single-system pre-pass (zero-fill, then each term in
-    /// order on the same team), so the result is bitwise identical to K
-    /// independent runs. Returns whether anything was written.
+    /// The unfused pre-pass of one stage: runs every non-fusable term
+    /// through `accumulate_par` with the *shared* worker team and
+    /// per-term scratch, writing each member's field into `base`.
+    ///
+    /// At K = 1 the interleaved planes are the member's own planes, so
+    /// the terms read `y` and write `base` in place. At K > 1 each member
+    /// is de-interleaved into `m_scratch`, its field is computed into
+    /// `h_scratch` and interleaved into `base`. Because the K members
+    /// reuse one term instance and one scratch, the K Newell demag
+    /// convolutions share a single FFT plan — twiddle tables, transpose
+    /// buffers and kernel spectra are loaded once per batch step instead
+    /// of once per member. Per member the call sequence is the same
+    /// (zero-fill, then each term in order on the same team), so the
+    /// result is bitwise identical at every K. Returns whether anything
+    /// was written.
     pub(crate) fn unfused_prepass_batch(
         &mut self,
         y: &FieldBatch,
@@ -1062,33 +985,30 @@ impl LlgSystem {
         debug_assert_eq!(y.cells(), self.len());
         debug_assert_eq!(base.cells(), self.len());
         debug_assert_eq!(base.k(), y.k());
+        if y.k() == 1 {
+            self.accumulate_unfused(y.data(), t, base.data_mut());
+            return true;
+        }
         debug_assert_eq!(m_scratch.len(), self.len());
         debug_assert_eq!(h_scratch.len(), self.len());
         for s in 0..y.k() {
             y.store_member(s, m_scratch);
-            h_scratch.fill(Vec3::ZERO);
-            let LlgSystem {
-                terms,
-                term_scratch,
-                kernel,
-                team,
-                ..
-            } = self;
-            for &ti in &kernel.unfused {
-                let scratch = term_scratch[ti]
-                    .as_mut()
-                    .map(|s| &mut **s as &mut (dyn std::any::Any + Send + Sync));
-                terms[ti].accumulate_par(m_scratch, t, h_scratch, team, scratch);
-            }
+            self.accumulate_unfused(m_scratch, t, h_scratch);
             base.load_member(s, &*h_scratch);
         }
         true
     }
 
-    /// Batched analogue of [`LlgSystem::rhs_stage`]: advances the K
-    /// members of `y` — simulations sharing this system's geometry,
-    /// damping map and fused kernel — through one sweep over the
-    /// K-interleaved planes.
+    /// The stage entry: evaluates `dm/dt` of the K members of `y` —
+    /// simulations sharing this system's geometry, damping map and
+    /// fused kernel — into `k_out` in one sweep over the K-interleaved
+    /// planes, then invokes `fuse(i0, i1, k)` once per worker block with
+    /// an interleaved flat range and a raw view of `k_out`, while the
+    /// block's data is still cache-resident. Integrators use `fuse` to
+    /// apply the axpy-style stage combinations (`m + dt·b·k`, the final
+    /// RK update, …). `fuse` gets a whole contiguous range rather than
+    /// one cell at a time so its loop stays a plain streaming axpy the
+    /// compiler can vectorize on its own.
     ///
     /// Per-member inputs that differ across the batch are explicit:
     /// `ant_fields[s]` holds member `s`'s per-antenna drive fields at
@@ -1098,25 +1018,27 @@ impl LlgSystem {
     /// (empty at T = 0), and `base` is the K-interleaved output of
     /// [`LlgSystem::unfused_prepass_batch`] (or `None`).
     ///
+    /// The sweep body follows K (see the module docs): the
+    /// cell-vectorized bodies at K = 1, the lane bodies at K > 1. Per
+    /// (cell, member) the arithmetic — term order, neighbour gathers,
+    /// antenna accumulation, torque — is the same expression sequence in
+    /// both, so each member's slice of `k_out` is bitwise identical to
+    /// its run at any other K. At K > 1 the stencil table,
+    /// neighbour-presence branches, CSR offsets and per-cell damping
+    /// loads are amortized over K members, and with K innermost the
+    /// member loop runs over consecutive lanes the vectorizer can use.
+    ///
     /// `k_out`'s vacuum lanes must already be zero on entry: only
     /// magnetic lanes are written, so a `FieldBatch::zeros` buffer
-    /// reused across stages keeps its vacuum zeros without the
-    /// single-system path's per-stage vacuum pass.
+    /// reused across stages keeps its vacuum zeros without a per-stage
+    /// vacuum pass.
     ///
-    /// Per (cell, member) the arithmetic — term order, neighbour
-    /// gathers, antenna accumulation, torque — is the exact expression
-    /// sequence the single-system sweep evaluates, so each member's
-    /// slice of `k_out` is bitwise identical to an independent run. The
-    /// win is structural: the stencil table, neighbour-presence
-    /// branches, CSR offsets and per-cell damping loads are amortized
-    /// over K members, and with K innermost the member loop runs over
-    /// consecutive lanes the vectorizer can use.
-    ///
-    /// `fuse` receives interleaved flat ranges (cell range × K) with
-    /// the same disjoint-ownership contract as in `rhs_stage` — but on
-    /// shaped meshes the ranges cover only the magnetic runs: vacuum
-    /// lanes are never fused (their values are zero on both sides of
-    /// every fuse, so the single-system result `0 + 0·c = 0` is what
+    /// `fuse` runs on worker threads; each block invokes it for a
+    /// disjoint range, so writing through raw plane pointers inside
+    /// `i0..i1` is sound. It must not read any element another block may
+    /// write concurrently. On shaped meshes the ranges cover only the
+    /// magnetic runs: vacuum lanes are never fused (their values are
+    /// zero on both sides of every fuse, so `0 + 0·c = 0` is what
     /// skipping leaves in place).
     pub(crate) fn rhs_stage_batch<F>(
         &self,
@@ -1138,26 +1060,36 @@ impl LlgSystem {
         let out = k_out.ptrs();
         let this: &LlgSystem = self;
         let (mx, my, mz) = (y.data().xs(), y.data().ys(), y.data().zs());
-        // One runtime check per stage: the batch sweep's inner loops run
+        // One runtime check per stage: the lane bodies' inner loops run
         // over consecutive interleaved lanes, which pays off most when
-        // compiled 4-wide — so the whole per-block sweep exists twice,
-        // baseline and AVX2, and the AVX2 copy is picked when the host
-        // supports it. Same Rust code, so identical IEEE results: wider
-        // lanes change throughput, never rounding.
+        // compiled 4-wide — so the whole per-block lane sweep exists
+        // twice, baseline and AVX2, and the AVX2 copy is picked when the
+        // host supports it. Same Rust code, so identical IEEE results:
+        // wider lanes change throughput, never rounding.
         #[cfg(target_arch = "x86_64")]
         let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
         this.team.run(&|b| {
-            #[cfg(target_arch = "x86_64")]
-            if use_avx2 {
-                // Safety: AVX2 support was checked at runtime above.
-                unsafe {
-                    this.sweep_block_batch_avx2(b, mx, my, mz, base, ant_fields, thermal, kk, out)
-                };
+            if kk == 1 {
+                let ants = ant_fields.first().map_or(&[][..], Vec::as_slice);
+                let base = base.map(FieldBatch::data);
+                this.sweep_block(b, mx, my, mz, base, ants, thermal.data(), out);
             } else {
+                #[cfg(target_arch = "x86_64")]
+                if use_avx2 {
+                    // Safety: AVX2 support was checked at runtime above.
+                    unsafe {
+                        this.sweep_block_batch_avx2(
+                            b, mx, my, mz, base, ant_fields, thermal, kk, out,
+                        )
+                    };
+                } else {
+                    this.sweep_block_batch(
+                        b, mx, my, mz, base, ant_fields, thermal, kk, out, false,
+                    );
+                }
+                #[cfg(not(target_arch = "x86_64"))]
                 this.sweep_block_batch(b, mx, my, mz, base, ant_fields, thermal, kk, out, false);
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            this.sweep_block_batch(b, mx, my, mz, base, ant_fields, thermal, kk, out, false);
             if this.kernel.full_film {
                 let block = this.kernel.blocks[b];
                 fuse(block.flat.0 * kk, block.flat.1 * kk, out);
@@ -1189,16 +1121,14 @@ impl LlgSystem {
         }
     }
 
-    /// One block's share of the batched sweep: the segment walk
-    /// dispatching interior runs and scalar stretches.
+    /// One block's share of the K > 1 sweep: the segment walk
+    /// dispatching interior runs and scalar stretches to the lane bodies.
     ///
-    /// Unlike `rhs_stage`, vacuum lanes are NOT re-zeroed here: the
-    /// contract is that the caller provides `k_out` with vacuum lanes
-    /// already zero (`FieldBatch::zeros`), and this sweep only ever
-    /// writes magnetic lanes — so the zeros persist across calls and
-    /// the batch skips K·vacuum stores per stage. The batch steppers
-    /// allocate with `zeros` and reuse the buffers, satisfying this by
-    /// construction.
+    /// As at K = 1, vacuum lanes are never written: the caller provides
+    /// `k_out` with vacuum lanes already zero (`FieldBatch::zeros`), so
+    /// the zeros persist across calls and every stage skips the vacuum
+    /// stores. The steppers allocate with `zeros` and reuse the buffers,
+    /// satisfying this by construction.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn sweep_block_batch(
@@ -1286,9 +1216,9 @@ impl LlgSystem {
     /// branch — the op dispatch, the four neighbour-presence tests, the
     /// antenna CSR walk — runs once per cell (per chunk) instead of once
     /// per cell per member. Each lane's `h` still accumulates its terms
-    /// in exactly the single-system order, so members remain bitwise
-    /// identical to independent runs; only the interleaving of work
-    /// across lanes changes.
+    /// in exactly the K = 1 order, so members remain bitwise identical
+    /// to independent runs; only the interleaving of work across lanes
+    /// changes.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn sweep_scalar_batch(
@@ -1438,7 +1368,7 @@ impl LlgSystem {
     /// straight-line body whose inner member loop runs over consecutive
     /// lanes.
     ///
-    /// Unlike the single-system sweep, antennas do not force the whole
+    /// Unlike the K = 1 body, antennas do not force the whole
     /// mesh onto the generic arm: the run is split at antenna-coverage
     /// boundaries (a per-cell CSR check, done once per cell rather than
     /// once per cell per member), so the uncovered stretches — nearly
@@ -1619,7 +1549,7 @@ impl LlgSystem {
                         // An antenna-covered cell: the same expressions,
                         // then each member's drives for this cell's CSR
                         // ids — the exact sequence the generic arm (and
-                        // the single-system sweep) evaluates.
+                        // the K = 1 body) evaluates.
                         let i = i0 + off;
                         let ci = seg.ci0 as usize + off;
                         let a0 = self.kernel.ant_off[ci] as usize;
@@ -1675,7 +1605,7 @@ impl LlgSystem {
         for off in 0..len {
             let i = i0 + off;
             let ci = seg.ci0 as usize + off;
-            // Safety: as in the single-system interior sweep.
+            // Safety: as in the K = 1 interior sweep.
             let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
             let (a0, a1) = if has_ant {
                 (
@@ -1734,13 +1664,14 @@ impl LlgSystem {
         }
     }
 
-    /// Maximum torque |dm/dt| over all cells, in 1/s — used as a
-    /// convergence criterion by [`crate::sim::Simulation::relax`].
+    /// Maximum torque |dm/dt| over all cells, in 1/s, with the thermal
+    /// realization `thermal` (empty at T = 0) — used as a convergence
+    /// criterion by [`crate::sim::Simulation::relax`].
     ///
     /// Evaluated block-parallel with a per-block running maximum, so no
     /// full-mesh buffers are allocated; only a non-fusable term forces
     /// field buffers (it runs through the AoS reference path).
-    pub fn max_torque(&self, m: &Field3, t: f64) -> f64 {
+    pub fn max_torque(&self, m: &Field3, thermal: &Field3, t: f64) -> f64 {
         let pre: Option<Field3> = if self.kernel.unfused.is_empty() {
             None
         } else {
@@ -1763,7 +1694,7 @@ impl LlgSystem {
             for ci in block.list.0..block.list.1 {
                 let i = self.kernel.cells[ci] as usize;
                 let mi = Vec3::new(mx[i], my[i], mz[i]);
-                let h = self.fused_field(ci, i, mi, mx, my, mz, base, &ant_fields);
+                let h = self.fused_field(ci, i, mi, mx, my, mz, base, &ant_fields, thermal);
                 local = local.max(self.torque(i, mi, h).norm());
             }
             local
@@ -1830,15 +1761,47 @@ mod tests {
     use crate::field::demag::ThinFilmDemag;
     use crate::field::exchange::Exchange;
     use crate::field::zeeman::Zeeman;
+    use crate::field3::FieldBatch;
     use crate::material::Material;
     use crate::mesh::Mesh;
     use crate::GAMMA;
+
+    /// `f` as a batch of one.
+    fn one(f: &Field3) -> FieldBatch {
+        let mut b = FieldBatch::zeros(f.len(), 1);
+        b.data_mut().copy_from(f);
+        b
+    }
+
+    /// `dm/dt` of the state `m` through the stage entry at K = 1: the
+    /// pre-pass in place, the system's own antenna drives at `t`, and
+    /// the thermal realization `thermal` (empty at T = 0).
+    fn rhs(sys: &mut LlgSystem, m: &Field3, thermal: &Field3, t: f64) -> Field3 {
+        let n = sys.len();
+        let y = one(m);
+        let thermal = if thermal.is_empty() {
+            FieldBatch::empty(1)
+        } else {
+            one(thermal)
+        };
+        let mut base = FieldBatch::zeros(n, 1);
+        let (mut ms, mut hs) = (Field3::zeros(0), Field3::zeros(0));
+        let wrote = sys.unfused_prepass_batch(&y, t, &mut base, &mut ms, &mut hs);
+        let ants = [sys.antenna_fields(t)];
+        let mut k = FieldBatch::zeros(n, 1);
+        let base = if wrote { Some(&base) } else { None };
+        sys.rhs_stage_batch(&y, &mut k, base, &ants, &thermal, |_, _, _| {});
+        k.data().clone()
+    }
+
+    fn no_thermal() -> Field3 {
+        Field3::zeros(0)
+    }
 
     fn single_cell_system(alpha: f64, field: Vec3) -> LlgSystem {
         SystemSpec {
             terms: vec![Box::new(Zeeman::uniform(field))],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![alpha],
             gamma: GAMMA,
             mask: vec![true],
@@ -1852,7 +1815,7 @@ mod tests {
     fn torque_is_zero_at_equilibrium() {
         let sys = single_cell_system(0.01, Vec3::Z * 1e5);
         let m = Field3::from_vec3s(&[Vec3::Z]);
-        assert!(sys.max_torque(&m, 0.0) < 1e-6);
+        assert!(sys.max_torque(&m, &no_thermal(), 0.0) < 1e-6);
     }
 
     #[test]
@@ -1861,9 +1824,7 @@ mod tests {
         let h0 = 1e5;
         let mut sys = single_cell_system(0.0, Vec3::Z * h0);
         let m = Field3::from_vec3s(&[Vec3::X]);
-        let mut dmdt = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
+        let dmdt = rhs(&mut sys, &m, &no_thermal(), 0.0);
         // m×H = X×Z·h0 = -Y·h0; prefactor −γμ₀ ⇒ dm/dt = +γμ₀h0·Y
         let expected = GAMMA * MU0 * h0;
         assert!((dmdt.get(0).y - expected).abs() / expected < 1e-12);
@@ -1875,9 +1836,7 @@ mod tests {
     fn damping_pulls_towards_field() {
         let mut sys = single_cell_system(0.1, Vec3::Z * 1e5);
         let m = Field3::from_vec3s(&[Vec3::X]);
-        let mut dmdt = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
+        let dmdt = rhs(&mut sys, &m, &no_thermal(), 0.0);
         // The damping term rotates m towards +z.
         assert!(
             dmdt.get(0).z > 0.0,
@@ -1890,18 +1849,15 @@ mod tests {
         // dm/dt ⊥ m always, so d|m|²/dt = 2 m·dm/dt = 0.
         let mut sys = single_cell_system(0.25, Vec3::new(3e4, -2e4, 5e4));
         let m = Field3::from_vec3s(&[Vec3::new(0.6, 0.64, 0.48).normalized()]);
-        let mut dmdt = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
+        let dmdt = rhs(&mut sys, &m, &no_thermal(), 0.0);
         assert!(m.get(0).dot(dmdt.get(0)).abs() < 1e-3);
     }
 
     #[test]
     fn vacuum_cells_have_zero_torque() {
-        let mut sys = SystemSpec {
+        let sys = SystemSpec {
             terms: vec![Box::new(Zeeman::uniform(Vec3::Z * 1e5))],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![0.01],
             gamma: GAMMA,
             mask: vec![false],
@@ -1910,34 +1866,58 @@ mod tests {
         }
         .build();
         let m = Field3::from_vec3s(&[Vec3::X]);
-        assert_eq!(sys.max_torque(&m, 0.0), 0.0);
-        let mut dmdt = Field3::from_vec3s(&[Vec3::X]);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
-        assert_eq!(dmdt.get(0), Vec3::ZERO, "rhs must overwrite vacuum torque");
+        assert_eq!(sys.max_torque(&m, &no_thermal(), 0.0), 0.0);
+        // The stage entry never writes a vacuum lane: it stays at the
+        // zero the stepper's buffers are allocated with, and no fuse
+        // range covers it.
+        let y = one(&m);
+        let mut k = FieldBatch::zeros(1, 1);
+        let fused = std::sync::atomic::AtomicU32::new(0);
+        sys.rhs_stage_batch(
+            &y,
+            &mut k,
+            None,
+            &[Vec::new()],
+            &FieldBatch::empty(1),
+            |i0, i1, _| {
+                fused.fetch_add((i1 - i0) as u32, std::sync::atomic::Ordering::Relaxed);
+            },
+        );
+        assert_eq!(k.get(0, 0), Vec3::ZERO, "vacuum lane must keep zero torque");
+        assert_eq!(fused.into_inner(), 0, "vacuum lane must not be fused");
     }
 
     #[test]
     fn thermal_buffer_enters_the_field() {
         let mut sys = single_cell_system(0.01, Vec3::ZERO);
-        sys.thermal = vec![Vec3::X * 123.0];
+        let thermal = vec![Vec3::X * 123.0];
         let m = vec![Vec3::Z];
         let mut h = vec![Vec3::ZERO];
-        sys.effective_field(&m, 0.0, &mut h);
+        sys.effective_field(&m, 0.0, &thermal, &mut h);
         assert!((h[0].x - 123.0).abs() < 1e-12);
-        // And the fused path sees it too: torque on m ∥ ẑ under H ∥ x̂.
-        assert!(sys.max_torque(&Field3::from_vec3s(&m), 0.0) > 0.0);
+        // And the fused paths see it too: torque on m ∥ ẑ under H ∥ x̂.
+        let (m, thermal) = (Field3::from_vec3s(&m), Field3::from_vec3s(&thermal));
+        assert!(sys.max_torque(&m, &thermal, 0.0) > 0.0);
+        assert!(rhs(&mut sys, &m, &thermal, 0.0).get(0).norm() > 0.0);
+        assert_eq!(rhs(&mut sys, &m, &no_thermal(), 0.0).get(0), Vec3::ZERO);
     }
 
     #[test]
     fn higher_damping_slows_precession_rate() {
         // The 1/(1+α²) prefactor reduces the precession component.
         let m = Field3::from_vec3s(&[Vec3::X]);
-        let mut dmdt_lo = Field3::zeros(1);
-        let mut dmdt_hi = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        single_cell_system(0.0, Vec3::Z * 1e5).rhs(&m, 0.0, &mut dmdt_lo, &mut h);
-        single_cell_system(1.0, Vec3::Z * 1e5).rhs(&m, 0.0, &mut dmdt_hi, &mut h);
+        let dmdt_lo = rhs(
+            &mut single_cell_system(0.0, Vec3::Z * 1e5),
+            &m,
+            &no_thermal(),
+            0.0,
+        );
+        let dmdt_hi = rhs(
+            &mut single_cell_system(1.0, Vec3::Z * 1e5),
+            &m,
+            &no_thermal(),
+            0.0,
+        );
         assert!((dmdt_hi.get(0).y.abs() - dmdt_lo.get(0).y.abs() / 2.0).abs() < 1.0);
     }
 
@@ -1977,7 +1957,6 @@ mod tests {
                 Box::new(Zeeman::uniform(Vec3::new(1e3, 0.0, 2e3))),
             ],
             antennas: vec![antenna],
-            thermal: Vec::new(),
             alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
             gamma: material.gamma(),
             mask: mesh.mask().to_vec(),
@@ -1993,13 +1972,10 @@ mod tests {
         let (mut sys, m) = masked_multiterm_system(1);
         let t = 13e-12;
         let n = m.len();
-        let ms = Field3::from_vec3s(&m);
-        let mut dmdt = Field3::zeros(n);
-        let mut scratch = Field3::zeros(n);
-        sys.rhs(&ms, t, &mut dmdt, &mut scratch);
+        let dmdt = rhs(&mut sys, &Field3::from_vec3s(&m), &no_thermal(), t);
         // Reference: term-by-term field, then the LLG formula.
         let mut h = vec![Vec3::ZERO; n];
-        sys.effective_field(&m, t, &mut h);
+        sys.effective_field(&m, t, &[], &mut h);
         for i in 0..n {
             if !sys.mask[i] {
                 assert_eq!(dmdt.get(i), Vec3::ZERO);
@@ -2037,7 +2013,6 @@ mod tests {
                 Box::new(Zeeman::uniform(Vec3::new(0.0, 0.0, 5e4))),
             ],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![material.gilbert_damping(); n],
             gamma: material.gamma(),
             mask: vec![true; n],
@@ -2057,14 +2032,11 @@ mod tests {
         let (reference_sys, m) = full_film_std_system(1);
         let n = m.len();
         let mut h = vec![Vec3::ZERO; n];
-        reference_sys.effective_field(&m, t, &mut h);
+        reference_sys.effective_field(&m, t, &[], &mut h);
         for threads in [1, 3, 4] {
             let (mut sys, m2) = full_film_std_system(threads);
             assert_eq!(m, m2);
-            let ms = Field3::from_vec3s(&m2);
-            let mut dmdt = Field3::zeros(n);
-            let mut scratch = Field3::zeros(n);
-            sys.rhs(&ms, t, &mut dmdt, &mut scratch);
+            let dmdt = rhs(&mut sys, &Field3::from_vec3s(&m2), &no_thermal(), t);
             for i in 0..n {
                 let alpha = sys.alpha[i];
                 let prefactor = -sys.gamma * MU0 / (1.0 + alpha * alpha);
@@ -2083,67 +2055,21 @@ mod tests {
     fn rhs_is_bitwise_identical_across_thread_counts() {
         let t = 7e-12;
         let (mut serial, m) = masked_multiterm_system(1);
-        let n = m.len();
         let ms = Field3::from_vec3s(&m);
-        let mut expected = Field3::zeros(n);
-        let mut scratch = Field3::zeros(n);
-        serial.rhs(&ms, t, &mut expected, &mut scratch);
-        let torque_serial = serial.max_torque(&ms, t);
+        let expected = rhs(&mut serial, &ms, &no_thermal(), t);
+        let torque_serial = serial.max_torque(&ms, &no_thermal(), t);
         for threads in [2, 3, 4, 7] {
             let (mut sys, m2) = masked_multiterm_system(threads);
             assert_eq!(m, m2);
             let ms2 = Field3::from_vec3s(&m2);
-            let mut dmdt = Field3::zeros(n);
-            sys.rhs(&ms2, t, &mut dmdt, &mut scratch);
+            let dmdt = rhs(&mut sys, &ms2, &no_thermal(), t);
             assert_eq!(dmdt, expected, "threads={threads} diverged");
-            assert_eq!(sys.max_torque(&ms2, t), torque_serial);
+            assert_eq!(sys.max_torque(&ms2, &no_thermal(), t), torque_serial);
         }
-    }
-
-    #[test]
-    fn stage_fusion_covers_every_cell_exactly_once() {
-        // The fuse ranges must cover every cell — magnetic and vacuum
-        // alike — exactly once, with the vacuum cells reporting zero
-        // torque in `k`. That is what lets the integrators fold their
-        // old full-mesh stage passes into the fuse hook without changing
-        // which cells they touch.
-        for threads in [1, 3, 4] {
-            let (mut sys, m) = masked_multiterm_system(threads);
-            let n = m.len();
-            let ms = Field3::from_vec3s(&m);
-            let mut k = Field3::zeros(n);
-            let mut scratch = Field3::zeros(n);
-            let hits: Vec<std::sync::atomic::AtomicU32> = (0..n)
-                .map(|_| std::sync::atomic::AtomicU32::new(0))
-                .collect();
-            sys.rhs_stage(&ms, 3e-12, &mut k, &mut scratch, |i0, i1, kv| {
-                for (i, hit) in hits.iter().enumerate().take(i1).skip(i0) {
-                    hit.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let ki = unsafe { kv.read(i) };
-                    if !sys_mask_is_magnetic(&m, i) {
-                        assert_eq!(ki, Vec3::ZERO, "vacuum cell {i} got nonzero k");
-                    }
-                }
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(
-                    h.load(std::sync::atomic::Ordering::Relaxed),
-                    1,
-                    "cell {i} fused {threads} threads"
-                );
-            }
-        }
-    }
-
-    /// The multiterm fixture zeroes m on vacuum cells, so a nonzero m
-    /// marks a magnetic cell.
-    fn sys_mask_is_magnetic(m: &[Vec3], i: usize) -> bool {
-        m[i] != Vec3::ZERO
     }
 
     #[test]
     fn batched_rhs_is_bitwise_identical_to_member_runs() {
-        use crate::field3::FieldBatch;
         // K members share geometry/terms but differ in state, drive
         // phase (emulated by evaluating the antennas at different
         // times) and thermal realization. The batched sweep must
@@ -2176,16 +2102,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        // Reference: independent single-system runs.
+        // Reference: independent runs of each member at K = 1.
         let mut expected: Vec<Field3> = Vec::new();
         for s in 0..kk {
             let (mut sys, _) = masked_multiterm_system(1);
-            sys.thermal = member_thermal[s].clone();
             let ms = Field3::from_vec3s(&member_m[s]);
-            let mut dmdt = Field3::zeros(n);
-            let mut scratch = Field3::zeros(n);
-            sys.rhs(&ms, times[s], &mut dmdt, &mut scratch);
-            expected.push(dmdt);
+            let thermal = Field3::from_vec3s(&member_thermal[s]);
+            expected.push(rhs(&mut sys, &ms, &thermal, times[s]));
         }
         let ant_fields: Vec<Vec<Vec3>> =
             times.iter().map(|&t| probe_sys.antenna_fields(t)).collect();
@@ -2208,10 +2131,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_fuse_covers_interleaved_ranges_once() {
-        use crate::field3::FieldBatch;
-        let kk = 2;
-        for threads in [1, 3] {
+    fn fuse_covers_magnetic_lanes_exactly_once() {
+        // At every K (the K = 1 bodies and the lane bodies alike) the
+        // fuse ranges cover every magnetic lane exactly once and no
+        // vacuum lane, and vacuum lanes of `k` stay zero. That is what
+        // lets the steppers fold their stage combinations into the fuse
+        // hook.
+        for (kk, threads) in [(1, 1), (1, 3), (1, 4), (2, 1), (2, 3)] {
             let (sys, m) = masked_multiterm_system(threads);
             let n = m.len();
             let mut y = FieldBatch::zeros(n, kk);
@@ -2224,11 +2150,21 @@ mod tests {
                 .map(|_| std::sync::atomic::AtomicU32::new(0))
                 .collect();
             let ant_fields: Vec<Vec<Vec3>> = (0..kk).map(|_| sys.antenna_fields(1e-12)).collect();
-            sys.rhs_stage_batch(&y, &mut k_out, None, &ant_fields, &thermal, |i0, i1, _| {
-                for hit in hits.iter().take(i1).skip(i0) {
+            sys.rhs_stage_batch(&y, &mut k_out, None, &ant_fields, &thermal, |i0, i1, kv| {
+                for (fi, hit) in hits.iter().enumerate().take(i1).skip(i0) {
                     hit.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    assert!(unsafe { kv.read(fi) }.is_finite());
                 }
             });
+            for fi in 0..n * kk {
+                if m[fi / kk] == Vec3::ZERO {
+                    assert_eq!(
+                        k_out.data().get(fi),
+                        Vec3::ZERO,
+                        "vacuum lane {fi} got nonzero k"
+                    );
+                }
+            }
             for (fi, h) in hits.iter().enumerate() {
                 // Magnetic lanes fuse exactly once; vacuum lanes are
                 // skipped entirely (their buffers stay zero).
@@ -2236,7 +2172,7 @@ mod tests {
                 assert_eq!(
                     h.load(std::sync::atomic::Ordering::Relaxed),
                     expected,
-                    "flat index {fi} fused {threads} threads"
+                    "flat index {fi} fused, K = {kk}, {threads} threads"
                 );
             }
         }
@@ -2247,14 +2183,14 @@ mod tests {
         let (mut sys, m) = masked_multiterm_system(2);
         let ms = Field3::from_vec3s(&m);
         let t = 5e-12;
-        let before = sys.max_torque(&ms, t);
+        let before = sys.max_torque(&ms, &no_thermal(), t);
         let mut relax_map = vec![0.5; sys.len()];
         sys.swap_alpha(&mut relax_map);
-        let damped = sys.max_torque(&ms, t);
+        let damped = sys.max_torque(&ms, &no_thermal(), t);
         assert_ne!(before, damped, "new damping map must change the torque");
         sys.swap_alpha(&mut relax_map);
         assert_eq!(
-            sys.max_torque(&ms, t),
+            sys.max_torque(&ms, &no_thermal(), t),
             before,
             "restoring the damping map must restore the torque bitwise"
         );
@@ -2266,13 +2202,14 @@ mod tests {
         let (mut sys, m) = masked_multiterm_system(2);
         let m = Field3::from_vec3s(&m);
         let t = 11e-12;
-        let with_antenna = sys.max_torque(&m, t);
+        let th = no_thermal();
+        let with_antenna = sys.max_torque(&m, &th, t);
         let saved = std::mem::take(&mut sys.antennas);
-        let without = sys.max_torque(&m, t);
+        let without = sys.max_torque(&m, &th, t);
         assert_ne!(with_antenna, without, "antenna must influence the torque");
         sys.antennas = saved;
-        assert_eq!(sys.max_torque(&m, t), with_antenna);
+        assert_eq!(sys.max_torque(&m, &th, t), with_antenna);
         sys.clear_antennas();
-        assert_eq!(sys.max_torque(&m, t), without);
+        assert_eq!(sys.max_torque(&m, &th, t), without);
     }
 }

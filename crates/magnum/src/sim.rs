@@ -1,6 +1,7 @@
 //! Simulation orchestrator: assembles the LLG system, steps it in time,
 //! and exposes the state to probes.
 
+use crate::batch::{self, Clocked, Engine};
 use crate::damping::AbsorbingFrame;
 use crate::error::MagnumError;
 use crate::excitation::Antenna;
@@ -10,14 +11,14 @@ use crate::field::exchange::Exchange;
 use crate::field::thermal::ThermalField;
 use crate::field::zeeman::Zeeman;
 use crate::field::FieldTerm;
-use crate::field3::Field3;
+use crate::field3::{Field3, FieldBatch};
 use crate::geometry::{rasterize, Shape};
 use crate::llg::{LlgSystem, SystemSpec};
 use crate::material::Material;
 use crate::math::Vec3;
 use crate::mesh::Mesh;
 use crate::probe::{Component, Snapshot};
-use crate::solver::{Integrator, IntegratorKind};
+use crate::solver::IntegratorKind;
 use crate::{GAMMA, MU0};
 
 /// A ready-to-run micromagnetic simulation.
@@ -26,19 +27,13 @@ use crate::{GAMMA, MU0};
 pub struct Simulation {
     mesh: Mesh,
     material: Material,
-    m: Field3,
     system: LlgSystem,
-    integrator: Box<dyn Integrator>,
-    /// The kind the builder resolved `integrator` from, kept so a
-    /// [`crate::batch::BatchedSimulation`] can instantiate the matching
-    /// batch stepper.
-    integrator_kind: IntegratorKind,
+    /// Magnetization, clock and stepper: the batch engine at K = 1.
+    engine: Engine,
     thermal: Option<ThermalField>,
     /// Uniform α = 0.5 map swapped into the system during [`Simulation::relax`]
     /// (allocated on first use, reused afterwards).
     relax_alpha: Vec<f64>,
-    time: f64,
-    dt: f64,
 }
 
 impl Simulation {
@@ -59,12 +54,12 @@ impl Simulation {
 
     /// Current simulation time in seconds.
     pub fn time(&self) -> f64 {
-        self.time
+        self.engine.time
     }
 
     /// The fixed time step in seconds.
     pub fn time_step(&self) -> f64 {
-        self.dt
+        self.engine.dt
     }
 
     /// Overrides the time step (seconds, must be positive and finite).
@@ -78,7 +73,7 @@ impl Simulation {
                 reason: format!("time step must be positive and finite, got {dt}"),
             });
         }
-        self.dt = dt;
+        self.engine.dt = dt;
         Ok(())
     }
 
@@ -87,19 +82,20 @@ impl Simulation {
     /// [`Field3::get`]/[`Field3::iter`] for `Vec3`-shaped access or
     /// [`Field3::to_vec`] for an AoS copy.
     pub fn magnetization(&self) -> &Field3 {
-        &self.m
+        // A batch of one is laid out exactly like a single field.
+        self.engine.m.data()
     }
 
     /// Magnetization at cell `(ix, iy)`.
     pub fn magnetization_at(&self, ix: usize, iy: usize) -> Vec3 {
-        self.m.get(self.mesh.linear_index(ix, iy))
+        self.magnetization().get(self.mesh.linear_index(ix, iy))
     }
 
     /// Mean unit magnetization over the magnetic cells.
     pub fn magnetization_mean(&self) -> Vec3 {
         let count = self.mesh.magnetic_cell_count().max(1);
         let sum: Vec3 = self
-            .m
+            .magnetization()
             .iter()
             .zip(self.mesh.mask().iter())
             .filter(|(_, &mag)| mag)
@@ -131,14 +127,10 @@ impl Simulation {
     /// Propagates integrator failures ([`MagnumError::Diverged`],
     /// [`MagnumError::StepSizeUnderflow`]).
     pub fn step(&mut self) -> Result<(), MagnumError> {
-        if let Some(thermal) = self.thermal.as_mut() {
-            thermal.draw(self.dt, &mut self.system.thermal);
+        if let Some(source) = self.thermal.as_mut() {
+            self.engine.draw_thermal(0, source);
         }
-        let taken = self
-            .integrator
-            .step(&mut self.system, self.time, self.dt, &mut self.m)?;
-        self.time += taken;
-        Ok(())
+        self.engine.step(&mut self.system, None)
     }
 
     /// Runs for `duration` seconds (rounded up to whole steps).
@@ -147,11 +139,7 @@ impl Simulation {
     ///
     /// Propagates the first step failure.
     pub fn run(&mut self, duration: f64) -> Result<(), MagnumError> {
-        let t_end = self.time + duration;
-        while self.time < t_end - 1e-21 {
-            self.step()?;
-        }
-        Ok(())
+        batch::run(self, duration)
     }
 
     /// Runs for `duration` seconds, invoking `observer` with the current
@@ -173,35 +161,12 @@ impl Simulation {
         &mut self,
         duration: f64,
         sample_interval: f64,
-        mut observer: F,
+        observer: F,
     ) -> Result<(), MagnumError>
     where
         F: FnMut(f64, &Simulation),
     {
-        if !(sample_interval.is_finite() && sample_interval > 0.0) {
-            return Err(MagnumError::InvalidConfig {
-                reason: format!(
-                    "sample interval must be positive and finite, got {sample_interval}"
-                ),
-            });
-        }
-        let t0 = self.time;
-        let t_end = t0 + duration;
-        let mut taken: u64 = 0;
-        while self.time < t_end - 1e-21 {
-            if self.time >= t0 + taken as f64 * sample_interval - 1e-21 {
-                observer(self.time, self);
-                taken += 1;
-            }
-            self.step()?;
-        }
-        // The loop exits at t_end, so a sample scheduled for the final
-        // instant has not fired yet; take it now. If the next scheduled
-        // sample lies beyond the run, everything due has already fired.
-        if taken == 0 || t0 + taken as f64 * sample_interval <= t_end + 1e-21 {
-            observer(self.time, self);
-        }
-        Ok(())
+        batch::run_sampled(self, duration, sample_interval, observer)
     }
 
     /// Relaxes the system towards its energy minimum by integrating with
@@ -226,39 +191,36 @@ impl Simulation {
         // Swap the relaxation damping map in instead of cloning the live
         // one: after the first call this allocates nothing, and the swap
         // keeps the system's precomputed torque prefactors in sync.
-        if self.relax_alpha.len() != self.m.len() {
-            self.relax_alpha = vec![0.5; self.m.len()];
+        if self.relax_alpha.len() != self.system.len() {
+            self.relax_alpha = vec![0.5; self.system.len()];
         }
         self.system.swap_alpha(&mut self.relax_alpha);
         let saved_antennas = std::mem::take(&mut self.system.antennas);
-        let saved_thermal = std::mem::take(&mut self.system.thermal);
+        let no_thermal = Field3::zeros(0);
+        let torque = |sim: &Simulation| {
+            sim.system
+                .max_torque(sim.magnetization(), &no_thermal, sim.time())
+        };
         let mut error = None;
         let mut outcome = Relaxation {
             converged: false,
-            torque: self.system.max_torque(&self.m, self.time),
+            torque: torque(self),
             steps: 0,
         };
         outcome.converged = outcome.torque < torque_tolerance;
         while !outcome.converged && outcome.steps < max_steps {
-            match self
-                .integrator
-                .step(&mut self.system, self.time, self.dt, &mut self.m)
-            {
-                Ok(_) => {}
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
+            if let Err(e) = self.engine.advance(&mut self.system, None, true) {
+                error = Some(e);
+                break;
             }
             outcome.steps += 1;
-            outcome.torque = self.system.max_torque(&self.m, self.time);
+            outcome.torque = torque(self);
             outcome.converged = outcome.torque < torque_tolerance;
         }
         // Swap back: the system regains its original damping (and
         // prefactors), `relax_alpha` is the α = 0.5 map again.
         self.system.swap_alpha(&mut self.relax_alpha);
         self.system.antennas = saved_antennas;
-        self.system.thermal = saved_thermal;
         match error {
             Some(e) => Err(e),
             None => Ok(outcome),
@@ -272,8 +234,8 @@ impl Simulation {
     /// `accumulate_par`), instead of a locked fallback.
     pub fn total_energy(&mut self) -> f64 {
         self.system.energy(
-            &self.m,
-            self.time,
+            self.engine.m.data(),
+            self.engine.time,
             self.material.saturation_magnetization(),
             self.mesh.cell_volume(),
         )
@@ -281,12 +243,14 @@ impl Simulation {
 
     /// Maximum torque |dm/dt| (1/s) in the current state.
     pub fn max_torque(&self) -> f64 {
-        self.system.max_torque(&self.m, self.time)
+        let thermal = self.engine.thermal().data();
+        self.system
+            .max_torque(self.magnetization(), thermal, self.time())
     }
 
     /// Captures a spatial snapshot of a magnetization component.
     pub fn snapshot(&self, component: Component) -> Snapshot {
-        Snapshot::capture(&self.mesh, &self.m, component)
+        Snapshot::capture(&self.mesh, self.magnetization(), component)
     }
 
     /// The assembled LLG system (batch backend plumbing).
@@ -302,7 +266,7 @@ impl Simulation {
 
     /// Mutable access to the magnetization, for batch write-back.
     pub(crate) fn magnetization_mut(&mut self) -> &mut Field3 {
-        &mut self.m
+        self.engine.m.data_mut()
     }
 
     /// The member's own thermal generator (its RNG stream), if T > 0.
@@ -317,12 +281,21 @@ impl Simulation {
 
     /// Overwrites the clock, for batch write-back.
     pub(crate) fn set_time_internal(&mut self, time: f64) {
-        self.time = time;
+        self.engine.time = time;
     }
 
     /// The integrator kind the builder resolved.
     pub(crate) fn integrator_kind(&self) -> IntegratorKind {
-        self.integrator_kind
+        self.engine.kind()
+    }
+}
+
+impl Clocked for Simulation {
+    fn now(&self) -> f64 {
+        self.engine.time
+    }
+    fn advance(&mut self) -> Result<(), MagnumError> {
+        self.step()
     }
 }
 
@@ -330,9 +303,9 @@ impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("mesh", &(self.mesh.nx(), self.mesh.ny()))
-            .field("time", &self.time)
-            .field("dt", &self.dt)
-            .field("integrator", &self.integrator.name())
+            .field("time", &self.engine.time)
+            .field("dt", &self.engine.dt)
+            .field("integrator", &self.engine.kind())
             .finish()
     }
 }
@@ -596,10 +569,10 @@ impl SimulationBuilder {
                 reason: "initial magnetization direction must be non-zero".into(),
             });
         }
-        let mut m = Field3::zeros(n);
+        let mut m = FieldBatch::zeros(n, 1);
         for (i, &mag) in mesh.mask().iter().enumerate() {
             if mag {
-                m.set(i, direction);
+                m.set(i, 0, direction);
             }
         }
 
@@ -668,11 +641,6 @@ impl SimulationBuilder {
         } else {
             None
         };
-        let thermal_buffer = if thermal.is_some() {
-            vec![Vec3::ZERO; n]
-        } else {
-            Vec::new()
-        };
 
         // Automatic time step from the largest field scale present.
         let dt = match dt {
@@ -711,7 +679,6 @@ impl SimulationBuilder {
         let system = SystemSpec {
             terms,
             antennas,
-            thermal: thermal_buffer,
             alpha,
             gamma: material.gamma(),
             // One-time setup copy: the system owns its mask so the hot
@@ -721,20 +688,15 @@ impl SimulationBuilder {
             threads,
         }
         .build();
-        let integrator_kind = integrator;
-        let integrator = integrator.instantiate(n);
+        let engine = Engine::new(integrator, m, thermal.is_some(), 0.0, dt);
 
         Ok(Simulation {
             mesh,
             material,
-            m,
             system,
-            integrator,
-            integrator_kind,
+            engine,
             thermal,
             relax_alpha: Vec::new(),
-            time: 0.0,
-            dt,
         })
     }
 }
@@ -1086,10 +1048,10 @@ mod tests {
     #[test]
     fn thermal_run_defaults_to_heun() {
         let sim = fecob_strip(4, 4).temperature(300.0).build().unwrap();
-        assert_eq!(sim.integrator.name(), "heun");
+        assert_eq!(sim.integrator_kind(), IntegratorKind::Heun);
         // Deterministic runs keep the RK4 default.
         let sim = fecob_strip(4, 4).build().unwrap();
-        assert_eq!(sim.integrator.name(), "rk4");
+        assert_eq!(sim.integrator_kind(), IntegratorKind::RungeKutta4);
     }
 
     #[test]

@@ -1,30 +1,25 @@
-//! Time integrators for the LLG equation.
+//! Time-integration building blocks for the LLG equation.
 //!
-//! Three integrators are provided, mirroring the options micromagnetic
-//! packages offer:
+//! Three schemes are provided, mirroring the options micromagnetic
+//! packages offer, selected by [`IntegratorKind`]:
 //!
-//! * [`Heun`] — 2nd order predictor-corrector; the correct choice when the
+//! * Heun — 2nd order predictor-corrector; the correct choice when the
 //!   thermal field is active (converges to the Stratonovich solution).
-//! * [`RungeKutta4`] — classic 4th order fixed-step; the default for
-//!   deterministic spin-wave runs.
-//! * [`CashKarp45`] — adaptive 5(4) pair with error control, for stiff
-//!   setups or when the caller wants accuracy-driven step sizes.
+//! * RK4 — classic 4th order fixed-step; the default for deterministic
+//!   spin-wave runs.
+//! * Cash–Karp 5(4) — adaptive pair with error control, for stiff setups
+//!   or when the caller wants accuracy-driven step sizes.
 //!
-//! All integrators renormalize `|m| = 1` on magnetic cells after each
-//! accepted step (the LLG flow conserves the norm exactly; the projection
-//! removes the integrator's truncation-error drift).
-
-mod cash_karp;
-mod heun;
-mod rk4;
-
-pub use cash_karp::CashKarp45;
-pub use heun::Heun;
-pub use rk4::RungeKutta4;
+//! The steppers themselves live in [`crate::batch`]: one implementation
+//! of each scheme, advancing K-interleaved state, with a solo
+//! [`crate::Simulation`] as the batch of one. This module holds what they
+//! share: the stage axpy and the renormalization that restores `|m| = 1`
+//! on magnetic cells after each accepted step (the LLG flow conserves the
+//! norm exactly; the projection removes the integrator's truncation-error
+//! drift).
 
 use crate::error::MagnumError;
-use crate::field3::{Field3, Field3Ptr, Field3Read, FieldBatch};
-use crate::llg::LlgSystem;
+use crate::field3::{Field3Ptr, Field3Read, FieldBatch};
 use crate::par::{chunk_bounds, WorkerTeam};
 
 /// `out[i] = a[i] + k[i]·c` over `i0..i1`, one component plane at a time.
@@ -63,33 +58,6 @@ pub(crate) unsafe fn axpy_range(
     }
 }
 
-/// A time integrator advancing the magnetization state.
-///
-/// The state is a SoA [`Field3`]; every stage is a single fused sweep
-/// through [`LlgSystem::rhs_stage`], with the stage combination applied
-/// in the sweep's `fuse` hook instead of a separate full-mesh pass.
-pub trait Integrator: Send {
-    /// Advances `m` by one step starting at time `t` with suggested step
-    /// `dt`, returning the step size actually taken (adaptive integrators
-    /// may take less).
-    ///
-    /// # Errors
-    ///
-    /// * [`MagnumError::Diverged`] if the state becomes non-finite.
-    /// * [`MagnumError::StepSizeUnderflow`] if an adaptive integrator
-    ///   cannot meet its tolerance.
-    fn step(
-        &mut self,
-        system: &mut LlgSystem,
-        t: f64,
-        dt: f64,
-        m: &mut Field3,
-    ) -> Result<f64, MagnumError>;
-
-    /// Short human-readable name.
-    fn name(&self) -> &'static str;
-}
-
 /// Which integrator a [`crate::sim::SimulationBuilder`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IntegratorKind {
@@ -105,77 +73,18 @@ pub enum IntegratorKind {
     },
 }
 
-impl IntegratorKind {
-    /// Instantiates the integrator for a system of `cells` cells.
-    pub fn instantiate(self, cells: usize) -> Box<dyn Integrator> {
-        match self {
-            IntegratorKind::Heun => Box::new(Heun::new(cells)),
-            IntegratorKind::RungeKutta4 => Box::new(RungeKutta4::new(cells)),
-            IntegratorKind::CashKarp45 { tolerance } => Box::new(CashKarp45::new(cells, tolerance)),
-        }
-    }
-}
-
-/// Renormalizes magnetic cells to |m| = 1 and reports divergence.
+/// Renormalizes every magnetic cell of every member of a K-interleaved
+/// batch to |m| = 1 and reports divergence.
 ///
-/// Runs block-parallel on the system's worker team; per-block results are
-/// collected in block order, so the reported error (first bad block) is
-/// deterministic for a fixed thread count.
-///
-/// On a full film (no vacuum anywhere) the mask test disappears and the
-/// loop runs tiled: norms for a small tile first, then one divide loop
-/// per component plane. Divide and square root are exactly rounded in
-/// IEEE 754, so the vectorized tile produces bitwise the same `m` as the
-/// per-cell loop; only the state left behind on a `Diverged` error (which
-/// aborts the run) can differ within the failing tile.
-pub(crate) fn renormalize_and_check(
-    m: &mut Field3,
-    mask: &[bool],
-    full_film: bool,
-    t: f64,
-    team: &WorkerTeam,
-) -> Result<(), MagnumError> {
-    let n = m.len();
-    let nb = team.threads().max(1);
-    debug_assert_eq!(full_film, mask.iter().all(|&magnetic| magnetic));
-    let out = m.ptrs();
-    let results = team.map_blocks(|b| {
-        let (start, end) = chunk_bounds(n, nb, b);
-        if full_film {
-            // Safety: chunk ranges are disjoint across blocks and in
-            // bounds for all three planes.
-            unsafe { renormalize_range(out, start, end, t) }
-        } else {
-            for (i, &magnetic) in mask.iter().enumerate().take(end).skip(start) {
-                if !magnetic {
-                    continue;
-                }
-                // Safety: chunk ranges are disjoint across blocks.
-                let mut mi = unsafe { out.read(i) };
-                if !mi.is_finite() {
-                    return Err(MagnumError::Diverged { time: t });
-                }
-                let norm = mi.norm();
-                if norm == 0.0 {
-                    return Err(MagnumError::Diverged { time: t });
-                }
-                mi /= norm;
-                unsafe { out.write(i, mi) };
-            }
-            Ok(())
-        }
-    });
-    results.into_iter().collect()
-}
-
-/// Batched analogue of [`renormalize_and_check`]: renormalizes every
-/// member of a K-interleaved batch.
-///
-/// The arithmetic per (cell, member) element — finiteness test, norm,
-/// componentwise divide — is exactly the single-system expression
-/// sequence, and blocks chunk over *cells* (each owning its cells' full
-/// K-lanes), so each member's slice is bitwise identical to an
-/// independent run at any thread count.
+/// Runs block-parallel on the system's worker team; per-block results
+/// are collected in block order, so the reported error (first bad block)
+/// is deterministic for a fixed thread count. The arithmetic per (cell,
+/// member) element — finiteness test, norm `sqrt(x²+y²+z²)`,
+/// componentwise divide — does not depend on K, and blocks chunk over
+/// *cells* (each owning its cells' full K-lanes), so each member's slice
+/// is bitwise identical to an independent run at any thread count. Only
+/// the state left behind on a `Diverged` error (which aborts the run)
+/// can differ within the failing tile.
 pub(crate) fn renormalize_and_check_batch(
     m: &mut FieldBatch,
     mask: &[bool],
@@ -207,8 +116,7 @@ pub(crate) fn renormalize_and_check_batch(
     let results = team.map_blocks(|b| {
         let (start, end) = chunk_bounds(n, nb, b);
         if full_film {
-            // Elementwise over the interleaved planes: identical per-lane
-            // arithmetic to the single-system tiled body.
+            // Elementwise over the interleaved planes.
             // Safety: cell chunks are disjoint across blocks, so the
             // interleaved ranges are too, and in bounds for all planes.
             renorm(start * kk, end * kk)
@@ -216,10 +124,7 @@ pub(crate) fn renormalize_and_check_batch(
             // Magnetic cells come in contiguous runs (the rows of the
             // shape), and a run's K lanes are one contiguous interleaved
             // range — so even the masked arm uses the vectorized tile
-            // body, run by run. Per lane the arithmetic (norm expression,
-            // componentwise divide, acceptance test) is exactly the
-            // single-system sequence, so members stay bitwise identical
-            // to independent runs.
+            // body, run by run.
             let mut i = start;
             while i < end {
                 if !mask[i] {
@@ -238,10 +143,11 @@ pub(crate) fn renormalize_and_check_batch(
     results.into_iter().collect()
 }
 
-/// The tiled full-film renormalization body: same per-cell arithmetic as
-/// the masked loop (`norm = sqrt(x²+y²+z²)` with the same summation
-/// order, componentwise `/= norm`), restructured so each loop touches few
-/// enough pointers to vectorize.
+/// The tiled renormalization body over a contiguous range: per element
+/// `norm = sqrt(x²+y²+z²)`, an acceptance test, then componentwise
+/// `/= norm`, restructured so each loop touches few enough pointers to
+/// vectorize. Divide and square root are exactly rounded in IEEE 754, so
+/// the vectorized tile gives bitwise the per-element result.
 ///
 /// # Safety
 ///
@@ -265,9 +171,9 @@ unsafe fn renormalize_range(
             let (x, y, z) = (*px.add(i), *py.add(i), *pz.add(i));
             let norm = (x * x + y * y + z * z).sqrt();
             norms[i - i0] = norm;
-            // Same acceptance test as the masked loop: all components
-            // finite and a nonzero norm. An overflowed (infinite) norm
-            // with finite components divides through, as before.
+            // Acceptance: all components finite and a nonzero norm. An
+            // overflowed (infinite) norm with finite components divides
+            // through.
             ok &= x.is_finite() && y.is_finite() && z.is_finite() && norm != 0.0;
         }
         if !ok {
@@ -319,7 +225,6 @@ pub(crate) mod test_support {
         SystemSpec {
             terms: vec![Box::new(Zeeman::uniform(Vec3::Z * h))],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![alpha],
             gamma: GAMMA,
             mask: vec![true],
@@ -349,97 +254,32 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::*;
     use super::*;
+    use crate::field3::Field3;
     use crate::math::Vec3;
 
-    fn run_integrator(
-        mut integrator: Box<dyn Integrator>,
-        alpha: f64,
-        h: f64,
-        t_end: f64,
-        dt: f64,
-    ) -> Vec3 {
-        let mut sys = macrospin(alpha, h);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
-        let mut t = 0.0;
-        while t < t_end - 1e-18 {
-            let step = dt.min(t_end - t);
-            let taken = integrator
-                .step(&mut sys, t, step, &mut m)
-                .expect("step failed");
-            t += taken;
-        }
-        m.get(0)
-    }
-
-    #[test]
-    fn all_integrators_match_macrospin_analytics() {
-        let alpha = 0.1;
-        let h = 1e5;
-        let t_end = 50e-12;
-        let expected = macrospin_analytic(alpha, h, t_end);
-        for kind in [
-            IntegratorKind::Heun,
-            IntegratorKind::RungeKutta4,
-            IntegratorKind::CashKarp45 { tolerance: 1e-8 },
-        ] {
-            let m = run_integrator(kind.instantiate(1), alpha, h, t_end, 5e-15);
-            let err = (m - expected).norm();
-            assert!(
-                err < 1e-4,
-                "{kind:?} error vs analytic solution too large: {err} (m = {m}, expected {expected})"
-            );
-        }
-    }
-
-    #[test]
-    fn integrators_preserve_unit_norm() {
-        for kind in [
-            IntegratorKind::Heun,
-            IntegratorKind::RungeKutta4,
-            IntegratorKind::CashKarp45 { tolerance: 1e-7 },
-        ] {
-            let m = run_integrator(kind.instantiate(1), 0.02, 5e5, 100e-12, 1e-14);
-            assert!(
-                (m.norm() - 1.0).abs() < 1e-12,
-                "{kind:?} drifted off the unit sphere"
-            );
-        }
-    }
-
-    #[test]
-    fn rk4_is_more_accurate_than_heun_at_same_step() {
-        let alpha = 0.05;
-        let h = 2e5;
-        let t_end = 100e-12;
-        let dt = 1e-13;
-        let expected = macrospin_analytic(alpha, h, t_end);
-        let err_heun =
-            (run_integrator(Box::new(Heun::new(1)), alpha, h, t_end, dt) - expected).norm();
-        let err_rk4 =
-            (run_integrator(Box::new(RungeKutta4::new(1)), alpha, h, t_end, dt) - expected).norm();
-        assert!(
-            err_rk4 < err_heun,
-            "RK4 ({err_rk4}) should beat Heun ({err_heun}) at dt = {dt}"
-        );
+    /// A batch of one holding `v`.
+    fn batch_of_one(v: &[Vec3]) -> FieldBatch {
+        let mut b = FieldBatch::zeros(v.len(), 1);
+        b.load_member(0, v);
+        b
     }
 
     #[test]
     fn renormalize_rejects_nan() {
         let team = WorkerTeam::new(1);
-        let mut m = Field3::from_vec3s(&[Vec3::new(f64::NAN, 0.0, 0.0)]);
-        let err = renormalize_and_check(&mut m, &[true], true, 1e-9, &team);
+        let mut m = batch_of_one(&[Vec3::new(f64::NAN, 0.0, 0.0)]);
+        let err = renormalize_and_check_batch(&mut m, &[true], true, 1e-9, &team);
         assert!(matches!(err, Err(MagnumError::Diverged { .. })));
     }
 
     #[test]
     fn renormalize_skips_vacuum() {
         let team = WorkerTeam::new(1);
-        let mut m = Field3::zeros(1);
-        renormalize_and_check(&mut m, &[false], false, 0.0, &team)
+        let mut m = FieldBatch::zeros(1, 1);
+        renormalize_and_check_batch(&mut m, &[false], false, 0.0, &team)
             .expect("vacuum zero vector is fine");
-        assert_eq!(m.get(0), Vec3::ZERO);
+        assert_eq!(m.get(0, 0), Vec3::ZERO);
     }
 
     #[test]
@@ -455,11 +295,24 @@ mod tests {
                 }
             })
             .collect();
-        let mut serial = Field3::from_vec3s(&original);
-        renormalize_and_check(&mut serial, &mask, false, 0.0, &WorkerTeam::new(1)).unwrap();
-        let mut parallel = Field3::from_vec3s(&original);
-        renormalize_and_check(&mut parallel, &mask, false, 0.0, &WorkerTeam::new(4)).unwrap();
+        let mut serial = batch_of_one(&original);
+        renormalize_and_check_batch(&mut serial, &mask, false, 0.0, &WorkerTeam::new(1)).unwrap();
+        let mut parallel = batch_of_one(&original);
+        renormalize_and_check_batch(&mut parallel, &mask, false, 0.0, &WorkerTeam::new(4)).unwrap();
         assert_eq!(serial, parallel);
+        // Per cell the result is the plain `v / |v|` expression.
+        for (i, v) in original.iter().enumerate() {
+            let want = if mask[i] { *v / v.norm() } else { Vec3::ZERO };
+            assert_eq!(serial.get(i, 0), want, "cell {i}");
+        }
+        let mut wide = FieldBatch::zeros(n, 3);
+        for s in 0..3 {
+            wide.load_member(s, original.as_slice());
+        }
+        renormalize_and_check_batch(&mut wide, &mask, false, 0.0, &WorkerTeam::new(4)).unwrap();
+        let mut member = Field3::zeros(n);
+        wide.store_member(2, &mut member);
+        assert_eq!(&member, serial.data(), "K = 3 member differs from K = 1");
     }
 
     #[test]
