@@ -37,6 +37,7 @@ echo "==> demag bench smoke (one small grid, JSON emitter)"
 ./target/release/parbench --demag --grids 32 --evals 2 --threads 1,2 \
     --out target/BENCH_demag_smoke.json
 test -s target/BENCH_demag_smoke.json
+grep -q '"kernel_build_s"' target/BENCH_demag_smoke.json
 
 echo "==> bigfft bench smoke (composite-padded grid, bitwise identity asserted in JSON)"
 ./target/release/parbench --bigfft --grids 24x20 --evals 2 --threads 1,2 \

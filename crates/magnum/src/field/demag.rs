@@ -58,6 +58,19 @@
 //! movement, so every bin sees identical arithmetic and the fields are
 //! bitwise unchanged.
 //!
+//! ## Kernel build
+//!
+//! Each kernel entry is evaluated at its canonical offset `(|ox|, |oy|)`,
+//! so the four mirror entries of a quadrant point are bitwise equal (up
+//! to the exact sign of `Kxy`); the build evaluates the quadrant
+//! `jx ≤ px/2`, `jy ≤ py/2` only and writes every mirror. Every tensor
+//! call has one zero coordinate, across which the 27-point stencil's ±1
+//! samples are bitwise equal; each such pair is evaluated once, 18
+//! evaluations instead of 27. A geometry's build therefore costs
+//! O(P/4 · 18) auxiliary-function evaluations per component instead of
+//! O(P·27), and every kernel bit equals the full-grid, 27-sample
+//! evaluation's.
+//!
 //! All FFT and spectral passes sit behind the cells-per-thread clamp
 //! ([`crate::fft::MIN_FFT_CELLS_PER_THREAD`], overridable through
 //! [`NewellDemag::with_options`]): small padded grids run the whole
@@ -221,8 +234,9 @@ impl DemagScratch {
 ///
 /// Instances are immutable and shared via [`Arc`] through a process-wide
 /// cache, so a batch of simulations over the same geometry (the `swrun`
-/// sweep case: many jobs, one mesh) pays the O(P·27) Newell pre-pass and
-/// the four kernel FFTs exactly once.
+/// sweep case: many jobs, one mesh) pays the O(P/4 · 18) Newell pre-pass
+/// (see the module docs' *Kernel build*) and the four kernel FFTs
+/// exactly once.
 #[derive(Debug)]
 struct KernelSpectra {
     kxx: Vec<f64>,
@@ -259,30 +273,45 @@ fn cached_spectra(
     let key = (px, py, dx.to_bits(), dy.to_bits(), dz.to_bits());
     let cache = SPECTRA_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("demag spectra cache poisoned");
-    Arc::clone(map.entry(key).or_insert_with(|| {
-        let spectra = kernel_spectra(px, py, cell, plan, team);
-        let mut max_re: f64 = 0.0;
-        let mut max_im: f64 = 0.0;
-        for k in &spectra {
-            for z in k.iter() {
-                max_re = max_re.max(z.re.abs());
-                max_im = max_im.max(z.im.abs());
-            }
+    Arc::clone(
+        map.entry(key)
+            .or_insert_with(|| Arc::new(real_spectra(px, py, cell, plan, team))),
+    )
+}
+
+/// Builds the kernel spectra and keeps their real parts, after checking
+/// that the imaginary parts are rounding noise.
+fn real_spectra(
+    px: usize,
+    py: usize,
+    cell: [f64; 3],
+    plan: &Fft2Plan,
+    team: &WorkerTeam,
+) -> KernelSpectra {
+    let spectra = kernel_spectra(px, py, cell, plan, team);
+    let mut max_re: f64 = 0.0;
+    let mut max_im: f64 = 0.0;
+    for k in &spectra {
+        for z in k.iter() {
+            max_re = max_re.max(z.re.abs());
+            max_im = max_im.max(z.im.abs());
         }
-        assert!(
-            max_im <= 1e-10 * max_re,
-            "Newell spectra should be real: max |Im| = {max_im:e} vs max |Re| = {max_re:e}"
-        );
-        let [kxx, kyy, kzz, kxy] = spectra.map(|k| k.iter().map(|z| z.re).collect());
-        Arc::new(KernelSpectra { kxx, kyy, kzz, kxy })
-    }))
+    }
+    assert!(
+        max_im <= 1e-10 * max_re,
+        "Newell spectra should be real: max |Im| = {max_im:e} vs max |Re| = {max_re:e}"
+    );
+    let [kxx, kyy, kzz, kxy] = spectra.map(|k| k.iter().map(|z| z.re).collect());
+    KernelSpectra { kxx, kyy, kzz, kxy }
 }
 
 impl NewellDemag {
     /// Precomputes the demag kernel for the mesh (single layer), serially.
     ///
-    /// Construction cost is O(P·27) Newell evaluations for P padded cells;
-    /// this is done once per simulation. [`NewellDemag::new_with_team`]
+    /// Construction cost is O(P/4 · 18) auxiliary-function evaluations per
+    /// tensor component for P padded cells (one quadrant, mirror-equal
+    /// stencil samples shared), plus four kernel FFTs; this is done once
+    /// per geometry and process. [`NewellDemag::new_with_team`]
     /// spreads the pre-pass over a worker team.
     pub fn new(mesh: &Mesh, material: &Material) -> Self {
         Self::new_with_team(mesh, material, &WorkerTeam::new(1))
@@ -628,65 +657,11 @@ impl NewellDemag {
 fn kernel_spectra(
     px: usize,
     py: usize,
-    [dx, dy, dz]: [f64; 3],
+    cell: [f64; 3],
     plan: &Fft2Plan,
     team: &WorkerTeam,
 ) -> [Vec<Complex64>; 4] {
-    let mut kernels: [Vec<Complex64>; 4] = std::array::from_fn(|_| vec![Complex64::ZERO; px * py]);
-    {
-        let ptrs: [SendPtr<Complex64>; 4] =
-            std::array::from_fn(|i| SendPtr::new(kernels[i].as_mut_ptr()));
-        team.for_each_span(py, |r0, r1| {
-            for jy in r0..r1 {
-                // Wrap offsets: indices beyond the half-grid represent
-                // negative displacements. Kernel values are evaluated at
-                // the canonical |offset| (the tensor components are even
-                // or odd per axis), so mirror entries are bitwise equal —
-                // the per-axis symmetry must be exact, not just to
-                // rounding, for the spectra to be purely real.
-                let oy = if jy <= py / 2 {
-                    jy as isize
-                } else {
-                    jy as isize - py as isize
-                };
-                let y = oy.unsigned_abs() as f64 * dy;
-                for jx in 0..px {
-                    let ox = if jx <= px / 2 {
-                        jx as isize
-                    } else {
-                        jx as isize - px as isize
-                    };
-                    let x = ox.unsigned_abs() as f64 * dx;
-                    let idx = jy * px + jx;
-                    // K = −N so that the convolution yields H directly.
-                    let values = [
-                        -newell_nxx(x, y, 0.0, dx, dy, dz),
-                        -newell_nxx(y, x, 0.0, dy, dx, dz),
-                        -newell_nxx(0.0, y, x, dz, dy, dx),
-                        if ox == 0 || oy == 0 || 2 * jx == px || 2 * jy == py {
-                            // Kxy is odd per axis: it vanishes identically
-                            // on the axes, and at even padded sizes the
-                            // Nyquist lines 2j = p (odd across a
-                            // self-inverse coordinate, never reaching the
-                            // physical output region) are zeroed to keep
-                            // the spectrum exactly real. `2j == p` rather
-                            // than `j == p/2`: at odd sizes the rounded
-                            // half-index is an ordinary mirrored column
-                            // and must keep its kernel value.
-                            0.0
-                        } else {
-                            let sign = (ox.signum() * oy.signum()) as f64;
-                            -sign * newell_nxy(x, y, 0.0, dx, dy, dz)
-                        },
-                    ];
-                    for (p, v) in ptrs.iter().zip(values) {
-                        // Safety: rows are disjoint across spans.
-                        unsafe { *p.add(idx) = Complex64::new(v, 0.0) };
-                    }
-                }
-            }
-        });
-    }
+    let mut kernels = kernel_planes(px, py, cell, team);
     let mut spec = vec![Complex64::ZERO; px * py];
     let mut rs = Fft2Scratch::new();
     for k in kernels.iter_mut() {
@@ -694,6 +669,69 @@ fn kernel_spectra(
         // spectrum lands in `spec`, which then swaps into the slot.
         plan.forward_spectrum(k, &mut spec, team, &mut rs, py);
         std::mem::swap(k, &mut spec);
+    }
+    kernels
+}
+
+/// The real-space kernel planes K = −N over the padded grid (row-major,
+/// wrap offsets, `Kxy` Nyquist lines zeroed). Order: `[Kxx, Kyy, Kzz, Kxy]`.
+///
+/// Each entry is evaluated at its canonical offset `(|ox|, |oy|)`, so the
+/// up-to-four mirror entries `{jx, px−jx} × {jy, py−jy}` of a quadrant
+/// point are bitwise equal (`Kxy` up to the exact sign flip): the loop
+/// visits only the quadrant `jx ≤ px/2`, `jy ≤ py/2`, evaluates there once
+/// and writes every mirror — a quarter of the Newell evaluations of a
+/// full-grid pass, with the same bits. The per-axis symmetry must be
+/// exact, not just to rounding, for the spectra to be purely real.
+fn kernel_planes(
+    px: usize,
+    py: usize,
+    [dx, dy, dz]: [f64; 3],
+    team: &WorkerTeam,
+) -> [Vec<Complex64>; 4] {
+    let mut kernels: [Vec<Complex64>; 4] = std::array::from_fn(|_| vec![Complex64::ZERO; px * py]);
+    {
+        let ptrs: [SendPtr<Complex64>; 4] =
+            std::array::from_fn(|i| SendPtr::new(kernels[i].as_mut_ptr()));
+        team.for_each_span(py / 2 + 1, |r0, r1| {
+            for jy in r0..r1 {
+                let y = jy as f64 * dy;
+                // Wrap offsets: the mirror index p − j stands for the
+                // negative displacement −j.
+                let rows = [(1.0, jy), (-1.0, (py - jy) % py)];
+                for jx in 0..=px / 2 {
+                    let x = jx as f64 * dx;
+                    let cols = [(1.0, jx), (-1.0, (px - jx) % px)];
+                    // K = −N so that the convolution yields H directly.
+                    let kxx = -newell_nxx(x, y, 0.0, dx, dy, dz);
+                    let kyy = -newell_nxx(y, x, 0.0, dy, dx, dz);
+                    let kzz = -newell_nxx(0.0, y, x, dz, dy, dx);
+                    // Kxy is odd per axis: it vanishes identically on the
+                    // axes, and at even padded sizes the Nyquist lines
+                    // 2j = p (odd across a self-inverse coordinate, never
+                    // reaching the physical output region) are zeroed to
+                    // keep the spectrum exactly real. `2j == p` rather
+                    // than `j == p/2`: at odd sizes the rounded half-index
+                    // is an ordinary mirrored column and must keep its
+                    // kernel value. The zero is a literal +0.0 on every
+                    // mirror — a sign-flipped −0.0 would change bits.
+                    let nxy = (jx != 0 && jy != 0 && 2 * jx != px && 2 * jy != py)
+                        .then(|| newell_nxy(x, y, 0.0, dx, dy, dz));
+                    for &(sy, iy) in &rows {
+                        for &(sx, ix) in &cols {
+                            let kxy = nxy.map_or(0.0, |n| -(sx * sy) * n);
+                            let idx = iy * px + ix;
+                            for (p, v) in ptrs.iter().zip([kxx, kyy, kzz, kxy]) {
+                                // Safety: a quadrant row and its mirror
+                                // py − jy belong to the span owning jy — no
+                                // other quadrant row mirrors onto either.
+                                unsafe { *p.add(idx) = Complex64::new(v, 0.0) };
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
     kernels
 }
@@ -803,21 +841,39 @@ fn newell_g(x: f64, y: f64, z: f64) -> f64 {
 }
 
 /// Applies the 27-point second-difference stencil to an auxiliary function.
+///
+/// `even[a]` says `func` is even in argument `a` (it only ever sees its
+/// absolute value). On such an axis a zero coordinate makes the −1 and +1
+/// samples bitwise equal, so the +1 sample reuses the −1 one — 18 of 27
+/// evaluations at one zero axis, the case of every kernel entry. The
+/// weighted sum still runs over all 27 samples in the original order, so
+/// the result is bitwise that of evaluating each sample.
 fn newell_stencil<F: Fn(f64, f64, f64) -> f64>(
-    x: f64,
-    y: f64,
-    z: f64,
-    dx: f64,
-    dy: f64,
-    dz: f64,
+    [x, y, z]: [f64; 3],
+    [dx, dy, dz]: [f64; 3],
+    even: [bool; 3],
     func: F,
 ) -> f64 {
     const W: [(isize, f64); 3] = [(-1, -1.0), (0, 2.0), (1, -1.0)];
+    let fold = [
+        even[0] && x == 0.0,
+        even[1] && y == 0.0,
+        even[2] && z == 0.0,
+    ];
+    // Sample (u, v, w) sits at 9·a + 3·b + c for positions a, b, c in W;
+    // a folded axis reads its +1 sample (position 2) from position 0.
+    let src = |pos: usize, folded: bool| if folded && pos == 2 { 0 } else { pos };
+    let mut samples = [0.0; 27];
     let mut acc = 0.0;
-    for &(u, wu) in &W {
-        for &(v, wv) in &W {
-            for &(w, ww) in &W {
-                acc += wu * wv * ww * func(x + u as f64 * dx, y + v as f64 * dy, z + w as f64 * dz);
+    for (a, &(u, wu)) in W.iter().enumerate() {
+        for (b, &(v, wv)) in W.iter().enumerate() {
+            for (c, &(w, ww)) in W.iter().enumerate() {
+                let i = 9 * a + 3 * b + c;
+                let s = 9 * src(a, fold[0]) + 3 * src(b, fold[1]) + src(c, fold[2]);
+                if s == i {
+                    samples[i] = func(x + u as f64 * dx, y + v as f64 * dy, z + w as f64 * dz);
+                }
+                acc += wu * wv * ww * samples[s];
             }
         }
     }
@@ -834,7 +890,8 @@ fn newell_stencil<F: Fn(f64, f64, f64) -> f64>(
 /// agree exactly.
 pub fn newell_nxx(x: f64, y: f64, z: f64, dx: f64, dy: f64, dz: f64) -> f64 {
     let (x, y, z) = (x.abs(), y.abs(), z.abs());
-    newell_stencil(x, y, z, dx, dy, dz, newell_f) / (4.0 * std::f64::consts::PI * dx * dy * dz)
+    newell_stencil([x, y, z], [dx, dy, dz], [true; 3], newell_f)
+        / (4.0 * std::f64::consts::PI * dx * dy * dz)
 }
 
 /// Demag tensor component `Nxy` between two cells displaced by `(x, y, z)`.
@@ -849,7 +906,9 @@ pub fn newell_nxy(x: f64, y: f64, z: f64, dx: f64, dy: f64, dz: f64) -> f64 {
         return 0.0;
     }
     let sign = x.signum() * y.signum();
-    sign * newell_stencil(x.abs(), y.abs(), z.abs(), dx, dy, dz, newell_g)
+    // Only the z argument of `newell_g` is even; x and y keep their signs.
+    let even = [false, false, true];
+    sign * newell_stencil([x.abs(), y.abs(), z.abs()], [dx, dy, dz], even, newell_g)
         / (4.0 * std::f64::consts::PI * dx * dy * dz)
 }
 
@@ -950,6 +1009,111 @@ mod tests {
                 .zip(serial.iter().zip(&par))
             {
                 assert_eq!(s, p, "{name} diverged at {threads} threads");
+            }
+        }
+    }
+
+    /// FNV-1a over the bit patterns of the four real spectra.
+    fn spectra_hash(k: &KernelSpectra) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in [&k.kxx, &k.kyy, &k.kzz, &k.kxy].into_iter().flatten() {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn kernel_spectra_bits_are_pinned() {
+        // Hashes of the four real spectra as the unfolded 27-sample build
+        // produced them: the folded build must reproduce every bit, on an
+        // even×odd good-size grid with dx ≠ dy, an odd Bluestein grid and
+        // a power-of-two grid.
+        let cases = [
+            (
+                10,
+                7,
+                [5e-9, 3e-9, 1e-9],
+                PadPolicy::GoodSize,
+                (20, 15),
+                0x16ca_0e35_4e40_cf7d,
+            ),
+            (
+                6,
+                4,
+                [5e-9, 5e-9, 1e-9],
+                PadPolicy::Exact,
+                (11, 7),
+                0x2d16_923e_b100_2181,
+            ),
+            (
+                9,
+                6,
+                [4e-9, 5e-9, 1e-9],
+                PadPolicy::PowerOfTwo,
+                (32, 16),
+                0xe8d3_7cb4_4385_20b1,
+            ),
+        ];
+        for (nx, ny, cell, policy, dims, want) in cases {
+            let (px, py) = (policy.pad(nx), policy.pad(ny));
+            assert_eq!((px, py), dims);
+            let plan = Fft2Plan::new(px, py);
+            for threads in [1, 3] {
+                let k = real_spectra(px, py, cell, &plan, &WorkerTeam::new(threads));
+                let got = spectra_hash(&k);
+                assert_eq!(
+                    got, want,
+                    "{policy:?} {px}x{py} spectra hash {got:#018x} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn folded_planes_match_full_grid_newell_evaluation() {
+        // Every padded entry, mirrors included, must carry exactly the bits
+        // of the public tensor functions at the signed wrap offset; `Kxy`
+        // takes its sign from the quadrant and is +0.0 on the axes and on
+        // even-size Nyquist lines.
+        let cell = [5e-9, 3e-9, 1e-9];
+        let [dx, dy, dz] = cell;
+        for (px, py) in [(12, 9), (9, 10), (7, 5), (8, 6)] {
+            let wrap = |j: usize, p: usize| {
+                if j <= p / 2 {
+                    j as f64
+                } else {
+                    j as f64 - p as f64
+                }
+            };
+            for threads in [1, 3] {
+                let planes = kernel_planes(px, py, cell, &WorkerTeam::new(threads));
+                for jy in 0..py {
+                    for jx in 0..px {
+                        let (x, y) = (wrap(jx, px) * dx, wrap(jy, py) * dy);
+                        let kxy = if 2 * jx == px || 2 * jy == py || x == 0.0 || y == 0.0 {
+                            0.0
+                        } else {
+                            -newell_nxy(x, y, 0.0, dx, dy, dz)
+                        };
+                        let want = [
+                            -newell_nxx(x, y, 0.0, dx, dy, dz),
+                            -newell_nxx(y, x, 0.0, dy, dx, dz),
+                            -newell_nxx(0.0, y, x, dz, dy, dx),
+                            kxy,
+                        ];
+                        for (c, (plane, w)) in planes.iter().zip(want).enumerate() {
+                            let got = plane[jy * px + jx];
+                            assert_eq!(
+                                (got.re.to_bits(), got.im.to_bits()),
+                                (w.to_bits(), 0),
+                                "component {c} at ({jx},{jy}) of {px}x{py}, {threads} threads"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
